@@ -16,7 +16,6 @@ from .decompress import (
     DecompressionRequest,
     DecompressionResult,
     decompress_density,
-    set_max_workers,
     solve_characteristic,
     track_support,
     verify_crossing,

@@ -3,8 +3,9 @@
 Subcommands: ``sample`` (ensemble eigenvalues), ``fit`` (density model from
 an eigenvalue file), ``decompress`` (evolve a model to a larger dimension),
 ``metrics`` (compare two density files).  Every stochastic command requires
-an explicit ``--seed``; results are byte-reproducible.  The environment
-variable ``FREEDEC_THREADS`` caps the decompression solver's worker count.
+an explicit ``--seed``; results are byte-reproducible.  ``decompress``
+writes the density CSV plus a ``.diag.json`` sidecar with the solver's
+residual, iteration and failure counts.
 """
 
 from __future__ import annotations
@@ -204,12 +205,6 @@ _COMMANDS = {
 
 
 def main(argv=None):
-    threads = os.environ.get("FREEDEC_THREADS")
-    if threads is not None:
-        try:
-            dc.set_max_workers(int(threads))
-        except ValueError:
-            print(f"freedec: ignoring malformed FREEDEC_THREADS={threads!r}", file=sys.stderr)
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)

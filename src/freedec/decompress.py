@@ -14,7 +14,6 @@ cut for moderate t, which is why m0 must be supplied on the secondary
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,7 +24,6 @@ __all__ = [
     "DecompressionRequest",
     "DecompressionResult",
     "CrossingReport",
-    "set_max_workers",
     "solve_characteristic",
     "decompress_density",
     "track_support",
@@ -34,20 +32,6 @@ __all__ = [
 
 _AUTO_GRID = 1000
 _MARGIN = 0.2
-_CHUNK = 256
-_MAX_WORKERS = 1
-
-
-def set_max_workers(count):
-    """Cap the number of worker threads used for grid solves.
-
-    The grid is always split into fixed chunks solved independently, so the
-    assembled result is identical for any worker count.
-    """
-    global _MAX_WORKERS
-    if count < 1:
-        raise InputError("worker count must be >= 1")
-    _MAX_WORKERS = int(count)
 
 
 @dataclass(frozen=True)
@@ -106,21 +90,6 @@ def _default_delta(evaluator):
     return min(1e-3 * (hi - lo), 0.5)
 
 
-class _PrincipalView:
-    """Adapter presenting an evaluator's principal branch as its only one."""
-
-    def __init__(self, evaluator):
-        self._ev = evaluator
-        self.support = evaluator.support
-        self.residual_scale = getattr(evaluator, "residual_scale", 0.0)
-
-    def evaluate(self, z, branch="secondary"):
-        return self._ev.evaluate(z, "principal")
-
-    def derivative(self, z, branch="secondary"):
-        return self._ev.derivative(z, "principal")
-
-
 def _newton(evaluator, targets, t, z0, tol, max_iter):
     """Vectorized damped Newton/secant solve of z - (e^t - 1)/m(z) = target.
 
@@ -129,8 +98,9 @@ def _newton(evaluator, targets, t, z0, tol, max_iter):
     field evaluation.  Steps that fail to reduce the residual are halved a
     few times before being accepted, which keeps iterates from leaping back
     and forth across the secondary branch's jump line when a root sits close
-    to the real axis outside the source support.  Converged points drop out
-    of the working set.
+    to the real axis outside the source support.  Converged and stalled
+    points drop out of the working set; each reports the iteration at which
+    it left.
     """
     a = np.exp(t) - 1.0
     targets = np.asarray(targets, dtype=complex)
@@ -174,6 +144,7 @@ def _newton(evaluator, targets, t, z0, tol, max_iter):
             idx_s = act[stalled]
             z_full[idx_s] = z[stalled]
             resid_full[idx_s] = absf[stalled]
+            iters_full[idx_s] = it
             keep = ~(done | stalled)
             act, z, tg, f, fp = act[keep], z[keep], tg[keep], f[keep], fp[keep]
             best_absf, stall = best_absf[keep], stall[keep]
@@ -227,13 +198,51 @@ def solve_characteristic(evaluator, x, t, delta=None, tol=1e-12, max_iter=200, z
     return complex(z[0]), info
 
 
+def _reseed(evaluator, targets, t, z, resid, iters, conv, tol, max_iter):
+    """Re-solve unconverged points from their nearest converged neighbours.
+
+    Roots vary continuously along the grid, so a converged neighbour is an
+    excellent start.  Each pass starts every unconverged point from its
+    nearest converged neighbour on the left, then from the one on the right;
+    passes repeat while any point converges, carrying converged roots
+    across runs of failures.  Updates the arrays in place.
+    """
+    progress = True
+    while progress and conv.any() and not conv.all():
+        progress = False
+        for side in ("left", "right"):
+            bad = np.where(~conv)[0]
+            good = np.where(conv)[0]
+            pos = np.searchsorted(good, bad) - (side == "left")
+            has = (pos >= 0) & (pos < good.size)
+            bad, nearest = bad[has], good[pos[has]]
+            if bad.size == 0:
+                continue
+            z2, r2, i2, c2 = _newton(evaluator, targets[bad], t, z[nearest], tol, max_iter)
+            take = bad[c2]
+            z[take], resid[take], iters[take], conv[take] = z2[c2], r2[c2], i2[c2], True
+            progress |= bool(c2.any())
+
+
+def _take_better(idx, z2, r2, i2, c2, z, resid, iters, conv):
+    """Keep a retry's root at ``idx`` where it converged or lowered the residual."""
+    improve = c2 | (r2 < resid[idx])
+    take = idx[improve]
+    z[take], resid[take], iters[take] = z2[improve], r2[improve], i2[improve]
+    conv[idx] |= c2
+
+
 def _solve_targets(evaluator, targets, t, tol, max_iter, z0=None, substeps=None):
     """Continuation in t from the degenerate start z = target.
 
     The root moves continuously in t, so a few loosely converged substeps
     with warm starts carry it to the final scale even though the final
-    equation is far from its start.  Unconverged points get retries from
-    perturbed starts before being flagged.
+    equation is far from its start; points a substep leaves unconverged are
+    re-seeded from converged neighbours, or else restart from the target.
+    Points the final solve leaves unconverged get, in turn, a retry from a
+    start pushed below the target, a finer continuation, and a re-seed from
+    converged neighbours.  ``iterations`` counts the Newton iterations of the
+    solve that produced each returned root.
     """
     targets = np.asarray(targets, dtype=complex)
     if substeps is None:
@@ -242,82 +251,31 @@ def _solve_targets(evaluator, targets, t, tol, max_iter, z0=None, substeps=None)
     tol_sub = max(tol, 1e-8)
     for j in range(1, substeps):
         tj = t * j / substeps
-        z, _, _, conv = _newton(evaluator, targets, tj, z, tol_sub, 40)
-        if not conv.all():
-            # Re-seed stragglers from currently converged neighbours.
-            idx_bad = np.where(~conv)[0]
-            idx_good = np.where(conv)[0]
-            if idx_good.size:
-                nearest = idx_good[np.searchsorted(idx_good, idx_bad).clip(0, idx_good.size - 1)]
-                z2, _, _, c2 = _newton(evaluator, targets[idx_bad], tj, z[nearest], tol_sub, 40)
-                z[idx_bad] = np.where(c2, z2, targets[idx_bad])
+        z, resid, iters, conv = _newton(evaluator, targets, tj, z, tol_sub, 40)
+        _reseed(evaluator, targets, tj, z, resid, iters, conv, tol_sub, 40)
+        z = np.where(conv, z, targets)
     z, resid, iters, conv = _newton(evaluator, targets, t, z, tol, max_iter)
     if not conv.all():
         lo, hi = evaluator.support
         idx_bad = np.where(~conv)[0]
         retry = targets[idx_bad] - 1j * 0.1 * (hi - lo)
         z2, r2, i2, c2 = _newton(evaluator, targets[idx_bad], t, retry, tol, max_iter)
-        improve = c2 | (r2 < resid[idx_bad])
-        z[idx_bad] = np.where(improve, z2, z[idx_bad])
-        resid[idx_bad] = np.where(improve, r2, resid[idx_bad])
-        conv[idx_bad] |= c2
-        if not conv.all():
-            # Finer continuation for whatever is left.
-            idx_bad = np.where(~conv)[0]
-            zc = targets[idx_bad].copy()
-            for j in range(1, 7):
-                zc, _, _, _ = _newton(evaluator, targets[idx_bad], t * j / 6, zc, tol_sub, 30)
-            z2, r2, i2, c2 = _newton(evaluator, targets[idx_bad], t, zc, tol, max_iter)
-            improve = c2 | (r2 < resid[idx_bad])
-            z[idx_bad] = np.where(improve, z2, z[idx_bad])
-            resid[idx_bad] = np.where(improve, r2, resid[idx_bad])
-            conv[idx_bad] |= c2
-        if not conv.all() and targets.size > 3:
-            # Sequential warm sweeps: roots vary continuously along the
-            # grid, so a converged neighbour is an excellent start.
-            for order in (range(targets.size), range(targets.size - 1, -1, -1)):
-                warm = None
-                for i in order:
-                    if conv[i]:
-                        warm = z[i]
-                    elif warm is not None:
-                        z2, r2, _, c2 = _newton(
-                            evaluator, targets[i : i + 1], t, np.array([warm]), tol, max_iter
-                        )
-                        if c2[0]:
-                            z[i], resid[i], conv[i] = z2[0], r2[0], True
-                            warm = z2[0]
+        _take_better(idx_bad, z2, r2, i2, c2, z, resid, iters, conv)
+    if not conv.all():
+        # Finer continuation for whatever is left.
+        idx_bad = np.where(~conv)[0]
+        zc = targets[idx_bad].copy()
+        for j in range(1, 7):
+            zc, _, _, _ = _newton(evaluator, targets[idx_bad], t * j / 6, zc, tol_sub, 30)
+        z2, r2, i2, c2 = _newton(evaluator, targets[idx_bad], t, zc, tol, max_iter)
+        _take_better(idx_bad, z2, r2, i2, c2, z, resid, iters, conv)
+    _reseed(evaluator, targets, t, z, resid, iters, conv, tol, max_iter)
     return z, resid, iters, conv
 
 
 def _density_from_roots(evaluator, z, t):
     m = np.asarray(evaluator.evaluate(z, "secondary"), dtype=complex)
     return m.imag / np.pi * np.exp(-t)
-
-
-def _solve_chunked(evaluator, targets, t, tol, max_iter):
-    """Solve fixed-size grid chunks, optionally on a thread pool.
-
-    Chunk boundaries do not depend on the worker count, so results are
-    deterministic under any parallelism setting.
-    """
-    chunks = [slice(i, min(i + _CHUNK, targets.size)) for i in range(0, targets.size, _CHUNK)]
-    results = [None] * len(chunks)
-
-    def solve(i):
-        results[i] = _solve_targets(evaluator, targets[chunks[i]], t, tol, max_iter)
-
-    if _MAX_WORKERS > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=_MAX_WORKERS) as pool:
-            list(pool.map(solve, range(len(chunks))))
-    else:
-        for i in range(len(chunks)):
-            solve(i)
-    z = np.concatenate([r[0] for r in results])
-    resid = np.concatenate([r[1] for r in results])
-    iters = np.concatenate([r[2] for r in results])
-    conv = np.concatenate([r[3] for r in results])
-    return z, resid, iters, conv
 
 
 def decompress_density(request):
@@ -366,29 +324,12 @@ def decompress_density(request):
         return result
 
     targets = grid + 1j * delta
-    z, resid, iters, conv = _solve_chunked(evaluator, targets, t, request.tol, request.max_iter)
+    z, resid, iters, conv = _solve_targets(evaluator, targets, t, request.tol, request.max_iter)
     # Newton stagnation at a residual far below any density error scale is
     # usable; only genuinely unresolved points count as failures.
     degraded = ~conv & (resid <= 1e-6 * (1.0 + np.abs(grid)))
     usable = conv | degraded
     raw = np.where(usable, _density_from_roots(evaluator, z, t), np.nan)
-    if not usable.all():
-        # Pre-crossing roots (still in the upper half-plane) near the real
-        # axis outside the source support sit against the secondary branch's
-        # jump line; the principal field is smooth there and agrees with the
-        # secondary one on the upper half-plane, so retry on it and accept
-        # upper-half roots.
-        idx = np.where(~usable)[0]
-        z2, r2, _, c2 = _solve_targets(
-            _PrincipalView(evaluator), targets[idx], t, request.tol, request.max_iter
-        )
-        good = (c2 | (r2 <= 1e-6 * (1.0 + np.abs(grid[idx])))) & (z2.imag >= -1e-12)
-        take = idx[good]
-        z[take] = z2[good]
-        resid[take] = r2[good]
-        raw[take] = _density_from_roots(evaluator, z2[good], t)
-        degraded[take] = True
-        usable[take] = True
     for lift in (10.0, 100.0):
         if usable.all():
             break
@@ -396,13 +337,14 @@ def decompress_density(request):
         # source support resist the nominal offset; lifting delta moves them
         # off the line.  The extra smoothing is immaterial where it happens.
         idx = np.where(~usable)[0]
-        z2, r2, _, c2 = _solve_targets(
+        z2, r2, i2, c2 = _solve_targets(
             evaluator, grid[idx] + 1j * lift * delta, t, request.tol, request.max_iter
         )
         lifted = c2 | (r2 <= 1e-6 * (1.0 + np.abs(grid[idx])))
         take = idx[lifted]
         z[take] = z2[lifted]
         resid[take] = r2[lifted]
+        iters[take] = i2[lifted]
         raw[take] = _density_from_roots(evaluator, z2[lifted], t)
         degraded[take] = True
         usable[take] = True

@@ -55,6 +55,10 @@ def model_to_dict(model, glue=None):
         "basis": basis,
         "coefficients": list(map(float, model.psi)),
         "damping": None if model.damping is None else list(map(float, model.damping)),
+        "gamma": float(model.gamma),
+        "repaired": bool(model.repaired),
+        "repair_warning": bool(model.repair_warning),
+        "degenerate_support": bool(model.degenerate_support),
         "fit_meta": model.meta,
     }
     if glue is not None:
@@ -87,6 +91,10 @@ def model_from_dict(doc):
         alpha=float(basis.get("alpha", 0.5)),
         beta=float(basis.get("beta", 0.5)),
         damping=damping,
+        gamma=float(doc.get("gamma", 0.0)),
+        degenerate_support=bool(doc.get("degenerate_support", False)),
+        repaired=bool(doc.get("repaired", False)),
+        repair_warning=bool(doc.get("repair_warning", False)),
         meta=doc.get("fit_meta", {}),
     )
     glue = None

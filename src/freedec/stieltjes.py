@@ -402,7 +402,6 @@ class ChebyshevPadeEvaluator:
         self.coeffs = model.coefficients_effective()
         self.pade_depth = depth if depth is not None else self.coeffs.size // 2
         self.glue = glue
-        self._flags = {"breakdown": False}
 
     def evaluate(self, z, branch="secondary"):
         z = np.asarray(z, dtype=complex)
@@ -414,9 +413,7 @@ class ChebyshevPadeEvaluator:
         else:
             raise InputError(f"unknown branch {branch!r}")
         w = np.asarray(w, dtype=complex)
-        val, _, broke = wynn_epsilon(self.coeffs, w, return_info=True)
-        if np.any(broke):
-            self._flags["breakdown"] = True
+        val = wynn_epsilon(self.coeffs, w)
         out = -np.pi * w * val
         if branch == "secondary" and self.glue is not None:
             zz = np.atleast_1d(z)
@@ -651,5 +648,5 @@ class LanczosEvaluator:
 def evaluator_for_model(model, glue=None):
     """Pick the natural evaluator for a fitted model."""
     if model.basis == "chebyshev-u":
-        return ChebyshevPadeEvaluator(model)
+        return ChebyshevPadeEvaluator(model, glue=glue)
     return JacobiGlueEvaluator(model, glue=glue)

@@ -103,6 +103,10 @@ def test_model_roundtrip_exact():
         support=(-1.25, 2.75),
         basis="chebyshev-u",
         psi=rng.standard_normal(17) * np.pi,
+        gamma=3e-4,
+        degenerate_support=True,
+        repaired=True,
+        repair_warning=True,
         meta={"n_s": 12},
     )
     glue = fit_glue(model, q=1)
@@ -110,8 +114,16 @@ def test_model_roundtrip_exact():
     back, glue_back = model_from_dict(doc)
     assert np.array_equal(back.psi, model.psi)  # repr round-trip is exact
     assert back.support == model.support
+    assert back.gamma == model.gamma
+    assert back.degenerate_support and back.repaired and back.repair_warning
     assert np.array_equal(glue_back.poles, glue.poles)
     assert np.array_equal(glue_back.residues, glue.residues)
+    # documents written before these fields existed load with the defaults
+    for key in ("gamma", "degenerate_support", "repaired", "repair_warning"):
+        del doc[key]
+    old, _ = model_from_dict(doc)
+    assert old.gamma == 0.0
+    assert not (old.degenerate_support or old.repaired or old.repair_warning)
 
 
 def test_model_schema_validation(tmp_path):
@@ -168,13 +180,3 @@ def test_law_descriptor_serializable():
     assert doc["name"] == "mp"
     assert doc["support"][0] < doc["support"][1]
     assert doc["atoms"][0][1] == pytest.approx(0.5, abs=1e-6)
-
-
-def test_thread_cap_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("FREEDEC_THREADS", "2")
-    out = tmp_path / "w.txt"
-    assert main(["sample", "--ensemble", "wigner", "--n", "8", "--seed", "1", "-o", str(out)]) == 0
-    from freedec import decompress as dc
-
-    assert dc._MAX_WORKERS == 2
-    dc.set_max_workers(1)

@@ -13,6 +13,7 @@ from freedec import (
     law_density,
     make_rng,
     marchenko_pastur_law,
+    meixner_law,
     solve_characteristic,
     total_variation,
     track_support,
@@ -112,6 +113,24 @@ def test_mass_conserved_along_flow():
     for ratio in (2.0, 8.0, 32.0):
         res = decompress_density(DecompressionRequest(evaluator=ev, ratio=ratio))
         assert 0.98 <= res.mass() <= 1.02
+
+
+def test_meixner_x32_neighbour_reseed():
+    # Margin points of this case converge only from converged neighbours'
+    # roots; each must report the iterations of the solve that produced it.
+    law = meixner_law(0.1, 4.0, 0.6)  # mean 0, variance b c = 2.4
+    request = DecompressionRequest(evaluator=LawEvaluator(law), ratio=32.0)
+    res = decompress_density(request)
+    assert not res.failed.any()
+    assert not res.degraded.any()
+    x, rho = res.grid, res.density
+    mass = np.trapezoid(rho, x)
+    mean = np.trapezoid(x * rho, x) / mass
+    var = np.trapezoid((x - mean) ** 2 * rho, x) / mass
+    assert abs(mass - 1.0) <= 0.01
+    assert abs(mean) <= 0.01 * np.sqrt(32 * 2.4)
+    assert abs(var / (32 * 2.4) - 1.0) <= 0.02
+    assert res.iterations.max() < request.max_iter
 
 
 def test_explicit_grid_and_validation():

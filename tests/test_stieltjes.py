@@ -11,6 +11,7 @@ from freedec import (
     LanczosEvaluator,
     LawEvaluator,
     chebyshev_coefficients_from_grid,
+    evaluator_for_model,
     fit_glue,
     jacobi_coefficients,
     joukowski,
@@ -235,6 +236,19 @@ def _jacobi_model(lam=0.5, k_max=24):
     xs = np.linspace(sup[0], sup[1], 8192)
     phi = jacobi_coefficients(xs, law_density(law, xs), sup, 0.5, 0.5, k_max, 0.0)
     return DensityModel(support=sup, basis="jacobi", psi=phi, alpha=0.5, beta=0.5), law
+
+
+def test_evaluator_for_model_keeps_glue():
+    law = marchenko_pastur_law(0.5)
+    x = np.linspace(*law.support, 4001)
+    model = DensityModel(
+        support=law.support,
+        basis="chebyshev-u",
+        psi=chebyshev_coefficients_from_grid(x, law_density(law, x), law.support, 20),
+    )
+    glue = fit_glue(model)
+    assert evaluator_for_model(model, glue=glue).glue is glue
+    assert evaluator_for_model(model).glue is None
 
 
 def test_jacobi_glue_node_counts():
