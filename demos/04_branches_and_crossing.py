@@ -24,12 +24,6 @@ for eta in (1e-3, 1e-6):
           f"principal jump {abs(up - pr):.2e}")
 print("the secondary branch is continuous through the cut; the principal one is not")
 
-# the glue function realizes the continuation additively: m- = -m+ + G
-glue = fd.fit_glue(law)
-print(f"\nglue function: d={glue.d:.4f}, c={glue.c:.4f}, "
-      f"poles={np.round(glue.poles, 6)}, residues={np.round(glue.residues, 4)}")
-print("   (for this law the exact glue is P/Q = (1 - lam - x) / (lam x))")
-
 # labels z0 = phi(t, z) descend and cross the axis inside the support
 print("\ncrossing times for labels starting above the support:")
 for height in (0.05, 0.2, 0.8):

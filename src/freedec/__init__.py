@@ -70,12 +70,9 @@ from .metrics import (
 )
 from .stieltjes import (
     ChebyshevPadeEvaluator,
-    GlueFunction,
-    JacobiGlueEvaluator,
     LanczosEvaluator,
     LawEvaluator,
     evaluator_for_model,
-    fit_glue,
     joukowski,
     joukowski_inverse,
     lanczos_stieltjes,

@@ -5,7 +5,7 @@ an eigenvalue file), ``decompress`` (evolve a model to a larger dimension),
 ``metrics`` (compare two density files).  Every stochastic command requires
 an explicit ``--seed``; results are byte-reproducible.  ``decompress``
 writes the density CSV plus a ``.diag.json`` sidecar with the solver's
-residual, iteration and failure counts.
+residual, iteration, failure and degraded counts and the model's fit flags.
 """
 
 from __future__ import annotations
@@ -54,16 +54,12 @@ def _build_parser():
     p.add_argument("--eigs", required=True, help="newline-separated eigenvalue file")
     p.add_argument("--parent-n", type=int, help="full-matrix order, if known")
     p.add_argument("-K", "--order", type=int, default=50, dest="order")
-    p.add_argument("--basis", choices=["chebyshev", "jacobi"], default="chebyshev")
-    p.add_argument("--alpha", type=float, default=0.5)
-    p.add_argument("--beta", type=float, default=0.5)
     p.add_argument("--kernel", choices=["none", "gaussian", "beta"], default="none")
     p.add_argument("--bandwidth", type=float)
     p.add_argument("--gamma", type=float, default=1e-4)
     p.add_argument("--delta", type=float, default=1e-3)
     p.add_argument("--support", choices=["edges", "minmax"], default="edges")
     p.add_argument("--damping", choices=["none", "jackson"], default="none")
-    p.add_argument("--glue", action="store_true", help="fit and store a glue function")
     p.add_argument("-o", "--output", required=True)
 
     p = sub.add_parser("decompress", help="evolve a fitted model to a larger dimension")
@@ -116,18 +112,14 @@ def _cmd_fit(args):
     model = df.fit_density(
         sample,
         k_max=args.order,
-        basis="chebyshev-u" if args.basis == "chebyshev" else "jacobi",
         kernel=None if args.kernel == "none" else args.kernel,
         bandwidth=args.bandwidth,
-        alpha=args.alpha,
-        beta=args.beta,
         gamma=args.gamma,
         delta=args.delta,
         support=args.support,
         damping=None if args.damping == "none" else args.damping,
     )
-    glue = st.fit_glue(model) if args.glue else None
-    fio.save_model(args.output, model, glue)
+    fio.save_model(args.output, model)
     grid = np.linspace(model.support[0], model.support[1], 2048)
     dens = model.density(grid)
     print(
@@ -135,8 +127,6 @@ def _cmd_fit(args):
         f"mass={model.mass():.8f} min-density={dens.min():.3g} "
         f"k_eff={model.meta.get('k_eff')} repaired={model.repaired}"
     )
-    if glue is not None:
-        print(f"glue: {glue.poles.size} poles, fit rms={glue.residual:.3g}")
     return 0
 
 
@@ -151,8 +141,8 @@ def _parse_grid(spec):
 
 
 def _cmd_decompress(args):
-    model, glue = fio.load_model(args.model)
-    evaluator = st.evaluator_for_model(model, glue=glue)
+    model = fio.load_model(args.model)
+    evaluator = st.evaluator_for_model(model)
     ratio = args.ratio
     if ratio is None:
         n_s = model.meta.get("n_s")
@@ -171,9 +161,14 @@ def _cmd_decompress(args):
         "support": list(result.support),
         "mass": result.mass(),
         "failed_points": int(result.failed.sum()),
+        "degraded_points": int(result.degraded.sum()),
         "grid_points": int(result.grid.size),
         "max_residual": float(np.nanmax(result.residuals)),
         "max_iterations": int(result.iterations.max()),
+        "k_eff": model.meta.get("k_eff"),
+        "repaired": model.repaired,
+        "repair_warning": model.repair_warning,
+        "degenerate_support": model.degenerate_support,
     }
     fio.atomic_write(os.path.splitext(args.output)[0] + ".diag.json", json.dumps(diag, indent=2) + "\n")
     print(

@@ -15,7 +15,6 @@ import numpy as np
 
 from .density_fit import DensityModel
 from .errors import InputError
-from .stieltjes import GlueFunction
 
 __all__ = [
     "model_to_dict",
@@ -44,12 +43,12 @@ def atomic_write(path, text):
         raise
 
 
-def model_to_dict(model, glue=None):
+def model_to_dict(model):
     basis = {"kind": model.basis}
     if model.basis == "jacobi":
         basis["alpha"] = model.alpha
         basis["beta"] = model.beta
-    doc = {
+    return {
         "schema_version": SCHEMA_VERSION,
         "support": [model.support[0], model.support[1]],
         "basis": basis,
@@ -61,14 +60,6 @@ def model_to_dict(model, glue=None):
         "degenerate_support": bool(model.degenerate_support),
         "fit_meta": model.meta,
     }
-    if glue is not None:
-        doc["glue"] = {
-            "c": glue.c,
-            "d": glue.d,
-            "poles": list(map(float, glue.poles)),
-            "residues": list(map(float, glue.residues)),
-        }
-    return doc
 
 
 def model_from_dict(doc):
@@ -77,6 +68,10 @@ def model_from_dict(doc):
     support = doc["support"]
     if not (len(support) == 2 and support[0] < support[1]):
         raise InputError("model support must be [lo, hi] with lo < hi")
+    if doc.get("glue") is not None:
+        # No evaluator reads a stored glue continuation; ignoring it would
+        # silently change what the file decompresses to.
+        raise InputError("model carries a glue continuation, which is no longer supported")
     coeffs = np.asarray(doc["coefficients"], dtype=float)
     damping = doc.get("damping")
     if damping is not None:
@@ -84,7 +79,7 @@ def model_from_dict(doc):
         if damping.shape != coeffs.shape:
             raise InputError("damping and coefficient arrays must have equal length")
     basis = doc["basis"]
-    model = DensityModel(
+    return DensityModel(
         support=(float(support[0]), float(support[1])),
         basis=basis["kind"],
         psi=coeffs,
@@ -97,19 +92,10 @@ def model_from_dict(doc):
         repair_warning=bool(doc.get("repair_warning", False)),
         meta=doc.get("fit_meta", {}),
     )
-    glue = None
-    if doc.get("glue") is not None:
-        gd = doc["glue"]
-        poles = np.asarray(gd["poles"], dtype=float)
-        residues = np.asarray(gd["residues"], dtype=float)
-        if poles.shape != residues.shape:
-            raise InputError("glue poles and residues must have equal length")
-        glue = GlueFunction(d=float(gd["d"]), c=float(gd["c"]), poles=poles, residues=residues)
-    return model, glue
 
 
-def save_model(path, model, glue=None):
-    atomic_write(path, json.dumps(model_to_dict(model, glue), indent=2) + "\n")
+def save_model(path, model):
+    atomic_write(path, json.dumps(model_to_dict(model), indent=2) + "\n")
 
 
 def load_model(path):

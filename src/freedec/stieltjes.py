@@ -1,15 +1,14 @@
 """Branch-aware Stieltjes transform evaluators.
 
-Three estimators of m(z) = integral rho(x)/(x - z) dx for a compactly
-supported density:
+Estimators of m(z) = integral rho(x)/(x - z) dx for a compactly supported
+density:
 
-* Pade-Chebyshev: the Chebyshev-U expansion of rho turns the transform into
-  a power series in the inverse Joukowski variable, evaluated through Wynn's
-  epsilon algorithm so it keeps working outside the series' disk of
-  convergence.  This gives the second-sheet continuation used by the
-  characteristic solver for free.
-* Jacobi + glue: per-mode Gauss-Jacobi quadrature above the real axis, with
-  an additive rational glue function carrying the continuation below it.
+* Pade-Chebyshev, the evaluator for fitted models: the Chebyshev-U
+  expansion of rho turns the transform into a power series in the inverse
+  Joukowski variable, evaluated through Wynn's epsilon algorithm so it
+  keeps working outside the series' disk of convergence.  This gives the
+  second-sheet continuation used by the characteristic solver for free.
+* Law: the closed-form transform of a benchmark ensemble law.
 * Lanczos: the continued-fraction resolvent approximation built from a
   matrix, for diagnostics and baselines.
 
@@ -21,26 +20,19 @@ solvers and ``density`` for the underlying model where available.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-import scipy.integrate
 import scipy.linalg
-from scipy.special import roots_jacobi
 
 from . import ensembles
-from .density_fit import DensityModel, _affine_to_unit, _chebyshev_u_matrix, _jacobi_matrix
-from .errors import InputError, NumericalError
+from .density_fit import _affine_to_unit
+from .errors import InputError
 from .linalg import make_rng, _check_symmetric
 
 __all__ = [
     "joukowski",
     "joukowski_inverse",
     "wynn_epsilon",
-    "GlueFunction",
-    "fit_glue",
     "ChebyshevPadeEvaluator",
-    "JacobiGlueEvaluator",
     "LanczosEvaluator",
     "LawEvaluator",
     "lanczos_tridiagonal",
@@ -171,205 +163,6 @@ def wynn_epsilon(coeffs, z, breakdown=1e-300, return_info=False):
 
 
 # ----------------------------------------------------------------------
-# glue function
-
-
-@dataclass(frozen=True)
-class GlueFunction:
-    """Rational correction G(z) = d + c z + sum_j r_j / (z - a_j).
-
-    Chosen so that m_secondary = -m_principal + G is continuous through the
-    support cut: G is real on the support interval with Re G = 2 H[rho]
-    there, and all poles a_j are real and lie outside the support interior.
-    """
-
-    d: float
-    c: float
-    poles: np.ndarray
-    residues: np.ndarray
-    residual: float = 0.0
-
-    def __call__(self, z):
-        z = np.asarray(z, dtype=complex)
-        out = self.d + self.c * z
-        for a, r in zip(self.poles, self.residues):
-            out = out + r / (z - a)
-        return out if out.ndim else complex(out)
-
-
-def _model_hilbert(model, x):
-    """Hilbert transform of a DensityModel on its support interior."""
-    x = np.asarray(x, dtype=float)
-    t = _affine_to_unit(x, model.support)
-    coef = model.coefficients_effective()
-    if model.basis == "chebyshev-u":
-        # Re of -pi Lambda(J) on the cut: J = exp(-i theta) turns the series
-        # into a cosine sum, i.e. Chebyshev-T values.
-        theta = np.arccos(np.clip(t, -1.0, 1.0))
-        k = np.arange(coef.size)[:, np.newaxis]
-        return -np.pi * np.tensordot(coef, np.cos((k + 1) * theta), axes=(0, 0))
-    out = np.zeros_like(x)
-    w0 = _jacobi_weight_pv(t, model.alpha, model.beta)
-    for k, ck in enumerate(coef):
-        if ck == 0.0:
-            continue
-        out += ck * _jacobi_mode_pv(t, k, model.alpha, model.beta, w0)
-    return (2.0 / model.width) * out
-
-
-def _jacobi_weight_pv(t, alpha, beta):
-    # W0(t0) = p.v. integral of w(s) / (s - t0) ds, by adaptive quadrature.
-    out = np.empty_like(t)
-    for i, t0 in enumerate(t):
-        val, _ = scipy.integrate.quad(
-            lambda s: (1.0 - s) ** alpha * (1.0 + s) ** beta,
-            -1.0,
-            1.0,
-            weight="cauchy",
-            wvar=t0,
-        )
-        out[i] = val
-    return out
-
-
-def _jacobi_mode_pv(t, k, alpha, beta, w0):
-    # p.v. integral of w P_k / (s - t0) = regular part + P_k(t0) W0(t0);
-    # the regular part integrates a degree k-1 polynomial exactly.
-    nodes, weights = roots_jacobi(max(k, 1), alpha, beta)
-    pk_nodes = _jacobi_matrix(nodes, k, alpha, beta)[k]
-    pk_t = _jacobi_matrix(t, k, alpha, beta)[k]
-    diff = nodes[np.newaxis, :] - t[:, np.newaxis]
-    tiny = np.abs(diff) < 1e-12
-    if tiny.any():
-        # evaluation point on a node: the difference quotient tends to P_k'
-        h = 1e-7
-        dpk = (_jacobi_matrix(t + h, k, alpha, beta)[k] - _jacobi_matrix(t - h, k, alpha, beta)[k]) / (2 * h)
-        quotient = np.where(
-            tiny,
-            np.broadcast_to(dpk[:, np.newaxis], diff.shape),
-            (pk_nodes[np.newaxis, :] - pk_t[:, np.newaxis]) / np.where(tiny, 1.0, diff),
-        )
-    else:
-        quotient = (pk_nodes[np.newaxis, :] - pk_t[:, np.newaxis]) / diff
-    regular = quotient @ weights
-    return regular + pk_t * w0
-
-
-def _law_pole_candidates(law):
-    qc = law.q
-    if qc.size >= 3 and abs(qc[2]) > 1e-14:
-        disc = qc[1] ** 2 - 4 * qc[2] * qc[0]
-        if disc >= 0:
-            s = np.sqrt(disc)
-            return [(-qc[1] + s) / (2 * qc[2]), (-qc[1] - s) / (2 * qc[2])]
-        return []
-    if qc.size >= 2 and abs(qc[1]) > 1e-14:
-        return [-qc[0] / qc[1]]
-    return []
-
-
-def fit_glue(source, q=4, grid_size=256):
-    """Fit a rational glue function matching 2 H[rho] on the support.
-
-    ``source`` may be a DensityModel or an EnsembleLaw.  The continuation
-    quality hinges on extrapolating correctly off the support, so the fit is
-    parsimonious: pole counts 0..q are tried in turn, each with nonlinearly
-    optimized pole positions (kept outside the support by an exponential
-    reparametrization) and linearly solved (d, c, residues), and the
-    smallest count that reaches the achievable residual plateau wins.
-    Least squares over the support grid also averages out estimator noise
-    carried by the Hilbert-transform target.
-    """
-    if isinstance(source, ensembles.EnsembleLaw):
-        lo, hi = source.support
-        x = _cheb_interior(lo, hi, grid_size)
-        target = 2.0 * ensembles.law_hilbert(source, x)
-        seeds = [p for p in _law_pole_candidates(source) if not lo <= p <= hi]
-    elif isinstance(source, DensityModel):
-        lo, hi = source.support
-        x = _cheb_interior(lo, hi, grid_size)
-        target = 2.0 * _model_hilbert(source, x)
-        seeds = []
-    else:
-        raise InputError("fit_glue expects a DensityModel or EnsembleLaw")
-
-    import scipy.optimize
-
-    width = hi - lo
-    scale = max(float(np.max(np.abs(target))), 1e-30)
-
-    def linear_solve(poles):
-        cols = [np.ones_like(x), x] + [1.0 / (x - a) for a in poles]
-        a_mat = np.stack(cols, axis=1)
-        sol, *_ = np.linalg.lstsq(a_mat, target, rcond=None)
-        rms = float(np.sqrt(np.mean((a_mat @ sol - target) ** 2)))
-        return sol, rms
-
-    def unpack(params, pole_sides):
-        offs = np.exp(np.clip(params, -30.0, 30.0)) * width
-        return np.where(np.asarray(pole_sides) < 0, lo - offs, hi + offs)
-
-    def refine(start_offsets, pole_sides):
-        def resid_fn(params):
-            sol, _ = linear_solve(unpack(params, pole_sides))
-            poles = unpack(params, pole_sides)
-            cols = [np.ones_like(x), x] + [1.0 / (x - a) for a in poles]
-            return np.stack(cols, axis=1) @ sol - target
-
-        p0 = np.log(np.maximum(start_offsets, 1e-8))
-        try:
-            opt = scipy.optimize.least_squares(resid_fn, p0, method="lm", max_nfev=120)
-            poles = unpack(opt.x, pole_sides)
-        except Exception:
-            poles = unpack(p0, pole_sides)
-        sol, rms = linear_solve(poles)
-        return rms, poles, sol
-
-    # candidate single-pole starts: exterior grid plus law-structure seeds
-    base = [(-1, 0.05), (-1, 0.25), (-1, 1.0), (1, 0.05), (1, 0.25), (1, 1.0)]
-    for p in seeds:
-        side = -1 if p < lo else 1
-        base.append((side, max((lo - p) / width if side < 0 else (p - hi) / width, 1e-7)))
-
-    fits = []
-    sol0, rms0 = linear_solve(np.empty(0))
-    fits.append((rms0, np.empty(0), sol0))
-    for npoles in range(1, q + 1):
-        start_sets = (
-            [[b] for b in base]
-            if npoles == 1
-            else [base[i : i + npoles] for i in range(len(base) - npoles + 1)]
-        )
-        cand = None
-        for start in start_sets:
-            sides = [s for s, _ in start]
-            offs = np.array([o for _, o in start])
-            fit = refine(offs, sides)
-            if cand is None or fit[0] < cand[0]:
-                cand = fit
-        fits.append(cand)
-        if cand[0] <= 1e-10 * scale:
-            break
-
-    best_rms = min(f[0] for f in fits)
-    # Parsimony: extrapolation off the support degrades with extra poles, so
-    # take the smallest pole count within a factor of two of the best fit.
-    rms, poles, sol = next(f for f in fits if f[0] <= max(2.0 * best_rms, 1e-12 * scale))
-    keep = np.abs(sol[2:]) > 1e-10 * scale
-    if poles.size and not keep.all():
-        poles = poles[keep]
-        sol, rms = linear_solve(poles)
-    return GlueFunction(d=float(sol[0]), c=float(sol[1]), poles=poles,
-                        residues=sol[2:].copy(), residual=rms)
-
-
-def _cheb_interior(lo, hi, n):
-    theta = np.pi * (np.arange(n) + 0.5) / n
-    pts = 0.5 * (lo + hi) + 0.5 * (hi - lo) * 0.9995 * np.cos(theta)
-    return np.sort(pts)
-
-
-# ----------------------------------------------------------------------
 # evaluators
 
 
@@ -381,12 +174,9 @@ class ChebyshevPadeEvaluator:
     which converges on both Joukowski sheets, so continuing through the
     support cut only requires switching the J branch below the axis.
 
-    With a ``glue`` function attached, the lower half-plane instead uses the
-    additive continuation m = -m_principal + G.  For coefficients estimated
-    from finite samples this is far more robust: the direct two-sheet Pade
-    route amplifies coefficient noise exponentially in the mode index, while
-    the glue confines the continuation to a low-dimensional rational whose
-    fit averages the noise out.
+    Trailing zero coefficients (the tail cut by ``truncate_tail``) are
+    dropped before evaluation: they leave the series unchanged but would
+    lengthen every epsilon table.
     """
 
     method = "pade-chebyshev"
@@ -394,105 +184,28 @@ class ChebyshevPadeEvaluator:
     # finders should not demand residuals below this.
     residual_scale = 1e-9
 
-    def __init__(self, model, depth=None, glue=None):
+    def __init__(self, model):
         if model.basis != "chebyshev-u":
-            raise InputError("Pade-Chebyshev evaluation needs a Chebyshev-U model")
+            raise InputError(
+                f"Pade-Chebyshev evaluation needs a Chebyshev-U model, not a {model.basis!r}-basis one"
+            )
         self.model = model
         self.support = model.support
-        self.coeffs = model.coefficients_effective()
-        self.pade_depth = depth if depth is not None else self.coeffs.size // 2
-        self.glue = glue
+        coeffs = model.coefficients_effective()
+        nonzero = np.flatnonzero(coeffs)
+        self.coeffs = coeffs[: nonzero[-1] + 1 if nonzero.size else 1]
 
     def evaluate(self, z, branch="secondary"):
         z = np.asarray(z, dtype=complex)
         u = _affine_to_unit(z, self.support)
-        if branch == "principal" or self.glue is not None:
+        if branch == "principal":
             w = joukowski_inverse(u)
         elif branch == "secondary":
             w = _joukowski_second_sheet(u)
         else:
             raise InputError(f"unknown branch {branch!r}")
         w = np.asarray(w, dtype=complex)
-        val = wynn_epsilon(self.coeffs, w)
-        out = -np.pi * w * val
-        if branch == "secondary" and self.glue is not None:
-            zz = np.atleast_1d(z)
-            mm = np.atleast_1d(out)
-            lower = zz.imag < 0
-            if lower.any():
-                mm = np.where(lower, -mm + self.glue(zz), mm)
-            out = mm.reshape(z.shape) if z.ndim else mm[0]
-        return out if np.ndim(out) else complex(out)
-
-    def derivative(self, z, branch="secondary"):
-        z = np.asarray(z, dtype=complex)
-        h = 1e-6 * (1.0 + np.abs(z))
-        out = (self.evaluate(z + h, branch) - self.evaluate(z - h, branch)) / (2.0 * h)
-        return out if np.ndim(out) else complex(out)
-
-    def density(self, x):
-        return self.model.density(x)
-
-
-class JacobiGlueEvaluator:
-    """Gauss-Jacobi quadrature evaluator with explicit glue continuation.
-
-    Each expansion mode gets its own quadrature rule with
-    n_k = max(k + 1, n0) nodes; evaluating modes separately keeps high
-    orders stable.  Below the real axis the secondary branch is
-    -m_principal + G with the fitted glue function G.
-    """
-
-    method = "jacobi-glue"
-
-    def __init__(self, model, glue=None, n0=64):
-        if model.basis != "jacobi":
-            raise InputError("Jacobi-glue evaluation needs a Jacobi-basis model")
-        self.model = model
-        self.support = model.support
-        self.glue = glue if glue is not None else fit_glue(model)
-        self.coeffs = model.coefficients_effective()
-        self.node_counts = [max(k + 1, n0) for k in range(self.coeffs.size)]
-        self._rules = []
-        for k, nk in enumerate(self.node_counts):
-            nodes, weights = roots_jacobi(nk, model.alpha, model.beta)
-            pk = _jacobi_matrix(nodes, k, model.alpha, model.beta)[k]
-            self._rules.append((nodes, weights * pk))
-
-    def _principal(self, u):
-        out = np.zeros_like(u, dtype=complex)
-        for k, (ck, (nodes, wpk)) in enumerate(zip(self.coeffs, self._rules)):
-            if ck == 0.0:
-                continue
-            diff = nodes[np.newaxis, :] - u.ravel()[:, np.newaxis]
-            if (np.abs(diff) < 1e-12).any():
-                # Node collision: re-evaluate the mode on a shifted rule.
-                nodes2, weights2 = roots_jacobi(len(nodes) + 1, self.model.alpha, self.model.beta)
-                pk2 = _jacobi_matrix(nodes2, k, self.model.alpha, self.model.beta)[k]
-                diff = nodes2[np.newaxis, :] - u.ravel()[:, np.newaxis]
-                out += ck * ((weights2 * pk2)[np.newaxis, :] / diff).sum(axis=1).reshape(u.shape)
-            else:
-                out += ck * (wpk[np.newaxis, :] / diff).sum(axis=1).reshape(u.shape)
-        return (2.0 / self.model.width) * out
-
-    def evaluate(self, z, branch="secondary"):
-        z = np.asarray(z, dtype=complex)
-        u = np.atleast_1d(_affine_to_unit(z, self.support)).astype(complex)
-        on_axis = u.imag == 0
-        if on_axis.any():
-            u = np.where(on_axis, u + 1e-12j, u)
-        m = self._principal(u).reshape(z.shape) if z.ndim else self._principal(u)[0]
-        if branch == "principal":
-            out = m
-        elif branch == "secondary":
-            zz = np.atleast_1d(z)
-            mm = np.atleast_1d(m)
-            lower = zz.imag < 0
-            if lower.any():
-                mm = np.where(lower, -mm + self.glue(zz), mm)
-            out = mm.reshape(z.shape) if z.ndim else mm[0]
-        else:
-            raise InputError(f"unknown branch {branch!r}")
+        out = -np.pi * w * wynn_epsilon(self.coeffs, w)
         return out if np.ndim(out) else complex(out)
 
     def derivative(self, z, branch="secondary"):
@@ -645,8 +358,11 @@ class LanczosEvaluator:
         return out if out.ndim else complex(out)
 
 
-def evaluator_for_model(model, glue=None):
-    """Pick the natural evaluator for a fitted model."""
-    if model.basis == "chebyshev-u":
-        return ChebyshevPadeEvaluator(model, glue=glue)
-    return JacobiGlueEvaluator(model, glue=glue)
+def evaluator_for_model(model):
+    """The second-sheet evaluator for a fitted model.
+
+    Only Chebyshev-U models have one; a model in another basis can be
+    evaluated on the support (``density``) but not decompressed, and raises
+    ``InputError``.
+    """
+    return ChebyshevPadeEvaluator(model)

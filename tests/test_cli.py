@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from freedec import DensityModel, fit_glue
+from freedec import DensityModel, InputError
 from freedec.cli import main
 from freedec.io import (
     load_density_csv,
@@ -71,8 +71,7 @@ def test_fit_and_decompress_roundtrip(tmp_path, capsys):
     assert main(["fit", "--eigs", str(eigs), "-K", "30", "-o", str(model_path)]) == 0
     out = capsys.readouterr().out
     assert "mass=1.0000" in out
-    model, glue = load_model(model_path)
-    assert glue is None
+    model = load_model(model_path)
     assert model.mass() == pytest.approx(1.0, abs=1e-6)
 
     # ratio 1 reproduces the model density on the output grid
@@ -83,7 +82,11 @@ def test_fit_and_decompress_roundtrip(tmp_path, capsys):
     assert np.max(np.abs(d - np.maximum(model.density(x), 0.0))) <= 1e-12
     diag = json.loads((tmp_path / "dens.diag.json").read_text())
     assert diag["failed_points"] == 0
+    assert diag["degraded_points"] == 0
     assert diag["ratio"] == 1.0
+    assert diag["k_eff"] == model.meta["k_eff"]
+    assert (diag["repaired"], diag["repair_warning"], diag["degenerate_support"]) == (
+        model.repaired, model.repair_warning, model.degenerate_support)
 
 
 def test_fit_k0_single_coefficient(tmp_path):
@@ -93,7 +96,7 @@ def test_fit_k0_single_coefficient(tmp_path):
     assert main(
         ["fit", "--eigs", str(eigs), "-K", "0", "--support", "minmax", "-o", str(model_path)]
     ) == 0
-    model, _ = load_model(model_path)
+    model = load_model(model_path)
     assert model.psi.size == 1
 
 
@@ -109,30 +112,34 @@ def test_model_roundtrip_exact():
         repair_warning=True,
         meta={"n_s": 12},
     )
-    glue = fit_glue(model, q=1)
-    doc = json.loads(json.dumps(model_to_dict(model, glue)))
-    back, glue_back = model_from_dict(doc)
+    doc = json.loads(json.dumps(model_to_dict(model)))
+    back = model_from_dict(doc)
     assert np.array_equal(back.psi, model.psi)  # repr round-trip is exact
     assert back.support == model.support
     assert back.gamma == model.gamma
     assert back.degenerate_support and back.repaired and back.repair_warning
-    assert np.array_equal(glue_back.poles, glue.poles)
-    assert np.array_equal(glue_back.residues, glue.residues)
     # documents written before these fields existed load with the defaults
     for key in ("gamma", "degenerate_support", "repaired", "repair_warning"):
         del doc[key]
-    old, _ = model_from_dict(doc)
+    old = model_from_dict(doc)
     assert old.gamma == 0.0
     assert not (old.degenerate_support or old.repaired or old.repair_warning)
 
 
 def test_model_schema_validation(tmp_path):
-    bad = {"schema_version": 2, "support": [0, 1], "basis": {"kind": "chebyshev-u"},
-           "coefficients": [1.0]}
+    good = {"schema_version": 1, "support": [0, 1], "basis": {"kind": "chebyshev-u"},
+            "coefficients": [1.0]}
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(bad))
+    path.write_text(json.dumps({**good, "schema_version": 2}))
     with pytest.raises(Exception):
         load_model(path)
+    # a stored glue continuation has no evaluator, so it is refused, not ignored
+    path.write_text(json.dumps({**good, "glue": {"c": -1.0, "d": 0.0, "poles": [],
+                                                 "residues": []}}))
+    with pytest.raises(InputError, match="glue"):
+        load_model(path)
+    path.write_text(json.dumps({**good, "glue": None}))
+    assert load_model(path).psi.tolist() == [1.0]
 
 
 def test_decompress_fault_injection(tmp_path, capsys):

@@ -1,0 +1,25 @@
+"""Each demo script runs to completion against the current package.
+
+Demo 03 (a full x32 decompression, about 18 s) is left out to keep the
+suite fast; the acceptance tests cover the same pipeline.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = ["01_benchmark_laws.py", "02_fit_submatrix_spectrum.py",
+         "04_branches_and_crossing.py", "05_metrics_and_sampling.py"]
+
+
+@pytest.mark.parametrize("name", DEMOS)
+def test_demo_runs(name, tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / name)], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]

@@ -7,13 +7,10 @@ from freedec import (
     ChebyshevPadeEvaluator,
     DensityModel,
     InputError,
-    JacobiGlueEvaluator,
     LanczosEvaluator,
     LawEvaluator,
     chebyshev_coefficients_from_grid,
     evaluator_for_model,
-    fit_glue,
-    jacobi_coefficients,
     joukowski,
     joukowski_inverse,
     lanczos_stieltjes,
@@ -22,7 +19,6 @@ from freedec import (
     law_stieltjes,
     make_rng,
     marchenko_pastur_law,
-    wigner_law,
     wynn_epsilon,
 )
 
@@ -183,111 +179,33 @@ def test_pade_plemelj_recovery():
 
 
 # ---------------------------------------------------------------------------
-# glue
+# evaluator for fitted models
 
 
-def test_glue_exact_for_mp_law():
-    law = marchenko_pastur_law(0.25)
-    glue = fit_glue(law)
-    lo, hi = law.support
-    x = np.linspace(lo + 1e-3, hi - 1e-3, 64)
-    lam = 0.25
-    want = (1 - lam - x) / (lam * x)  # P/Q
-    assert np.max(np.abs(glue(x).real - want)) <= 1e-6
-    assert np.all((glue.poles < lo) | (glue.poles > hi))
+def test_evaluator_for_model_chebyshev_only():
+    model, _ = _mp_model(lam=0.5, k_max=20)
+    assert isinstance(evaluator_for_model(model), ChebyshevPadeEvaluator)
+    jacobi = DensityModel(support=model.support, basis="jacobi", psi=np.array([1.0, 0.1]),
+                          alpha=0.5, beta=0.5)
+    with pytest.raises(InputError, match="jacobi"):
+        evaluator_for_model(jacobi)
 
 
-def test_glue_wigner_is_linear():
-    law = wigner_law(2.0)
-    glue = fit_glue(law)
-    assert glue.c == pytest.approx(-1.0, abs=1e-8)
-    assert glue.d == pytest.approx(0.0, abs=1e-8)
-    assert np.max(np.abs(glue.residues)) <= 1e-7 if glue.residues.size else True
-
-
-def test_glue_linear_target_needs_no_poles():
-    # a pure single-mode model has an exactly linear Hilbert transform
-    model = DensityModel(support=(-1.0, 1.0), basis="chebyshev-u", psi=np.array([2 / np.pi]))
-    glue = fit_glue(model, q=0)
-    assert glue.residual <= 1e-10
-    assert glue.poles.size == 0
-    # radius-1 semicircle: H = -2x, so G = 2H = -4x
-    assert glue.c == pytest.approx(-4.0, abs=1e-10)
-    assert glue.d == pytest.approx(0.0, abs=1e-10)
-
-
-def test_glue_continuation_matches_second_sheet():
-    model, law = _mp_model(lam=0.25)
-    glue = fit_glue(model)
-    ev = ChebyshevPadeEvaluator(model, glue=glue)
-    pts = np.array([1.1 - 0.3j, 0.8 - 0.1j, 1.6 - 0.5j])
-    want = law_stieltjes(law, pts, "secondary")
-    got = ev.evaluate(pts, "secondary")
-    assert np.max(np.abs(got - want) / np.abs(want)) <= 0.02
-
-
-# ---------------------------------------------------------------------------
-# Jacobi-glue evaluator
-
-
-def _jacobi_model(lam=0.5, k_max=24):
-    law = marchenko_pastur_law(lam)
-    sup = (law.support[0] - 1e-9, law.support[1] + 1e-9)
-    xs = np.linspace(sup[0], sup[1], 8192)
-    phi = jacobi_coefficients(xs, law_density(law, xs), sup, 0.5, 0.5, k_max, 0.0)
-    return DensityModel(support=sup, basis="jacobi", psi=phi, alpha=0.5, beta=0.5), law
-
-
-def test_evaluator_for_model_keeps_glue():
-    law = marchenko_pastur_law(0.5)
-    x = np.linspace(*law.support, 4001)
-    model = DensityModel(
-        support=law.support,
-        basis="chebyshev-u",
-        psi=chebyshev_coefficients_from_grid(x, law_density(law, x), law.support, 20),
-    )
-    glue = fit_glue(model)
-    assert evaluator_for_model(model, glue=glue).glue is glue
-    assert evaluator_for_model(model).glue is None
-
-
-def test_jacobi_glue_node_counts():
-    model, _ = _jacobi_model()
-    ev = JacobiGlueEvaluator(model, n0=16)
-    assert ev.node_counts == [max(k + 1, 16) for k in range(model.psi.size)]
-
-
-def test_jacobi_glue_agrees_with_pade():
-    model_j, law = _jacobi_model()
-    model_u, _ = _mp_model(lam=0.5, k_max=24)
-    ev_j = JacobiGlueEvaluator(model_j, n0=64)
-    ev_u = ChebyshevPadeEvaluator(model_u)
-    rng = make_rng(9)
-    lo, hi = law.support
-    z = rng.uniform(lo, hi, 50) + 1j * rng.uniform(0.3, 2.0, 50) * (hi - lo)
-    got = ev_j.evaluate(z, "principal")
-    want = ev_u.evaluate(z, "principal")
-    assert np.max(np.abs(got - want)) <= 1e-5
-
-
-def test_jacobi_glue_cut_behaviour():
-    # The boundary-value jump through the cut is exactly |G - 2H|, the
-    # glue's fit residual; across the real axis outside the support the two
-    # sheets genuinely disagree.
-    from freedec.stieltjes import _model_hilbert
-
-    model, law = _jacobi_model()
-    ev = JacobiGlueEvaluator(model, n0=64)
-    lo, hi = law.support
-    x_in = np.linspace(lo + 0.15 * (hi - lo), hi - 0.15 * (hi - lo), 9)
-    jump_in = np.max(np.abs(ev.glue(x_in).real - 2.0 * _model_hilbert(model, x_in)))
-    eta = 0.03 * (hi - lo)
-    x_out = hi + 0.5 * (hi - lo)
-    jump_out = abs(
-        ev.evaluate(x_out + 1j * eta, "secondary") - ev.evaluate(x_out - 1j * eta, "secondary")
-    )
-    assert jump_in <= 10.0 * ev.glue.residual
-    assert jump_out > 10.0 * jump_in
+def test_pade_drops_zero_tail():
+    model, _ = _mp_model(lam=0.5, k_max=12)
+    padded = DensityModel(support=model.support, basis="chebyshev-u",
+                          psi=np.concatenate([model.psi, np.zeros(30)]))
+    ev_padded = ChebyshevPadeEvaluator(padded)
+    ev = ChebyshevPadeEvaluator(model)
+    assert ev_padded.coeffs.size == np.flatnonzero(padded.psi)[-1] + 1 == model.psi.size
+    rng = make_rng(4)
+    lo, hi = model.support
+    z = rng.uniform(lo, hi, 40) + 1j * rng.uniform(-1.0, 1.0, 40) * (hi - lo)
+    for branch in ("principal", "secondary"):
+        assert np.array_equal(ev_padded.evaluate(z, branch), ev.evaluate(z, branch))
+    # an all-zero model keeps one coefficient
+    zero = DensityModel(support=(0.0, 1.0), basis="chebyshev-u", psi=np.zeros(5))
+    assert ChebyshevPadeEvaluator(zero).coeffs.size == 1
 
 
 # ---------------------------------------------------------------------------
