@@ -27,9 +27,6 @@ from .density_fit import (
     estimate_support,
     estimate_support_edges,
     fit_density,
-    jackson_damping,
-    jacobi_coefficients,
-    kernel_presmooth,
     repair_positivity_mass,
 )
 from .ensembles import (

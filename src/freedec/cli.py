@@ -52,14 +52,9 @@ def _build_parser():
 
     p = sub.add_parser("fit", help="fit a density model to an eigenvalue file")
     p.add_argument("--eigs", required=True, help="newline-separated eigenvalue file")
-    p.add_argument("--parent-n", type=int, help="full-matrix order, if known")
     p.add_argument("-K", "--order", type=int, default=50, dest="order")
-    p.add_argument("--kernel", choices=["none", "gaussian", "beta"], default="none")
-    p.add_argument("--bandwidth", type=float)
-    p.add_argument("--gamma", type=float, default=1e-4)
     p.add_argument("--delta", type=float, default=1e-3)
     p.add_argument("--support", choices=["edges", "minmax"], default="edges")
-    p.add_argument("--damping", choices=["none", "jackson"], default="none")
     p.add_argument("-o", "--output", required=True)
 
     p = sub.add_parser("decompress", help="evolve a fitted model to a larger dimension")
@@ -108,17 +103,8 @@ def _cmd_sample(args):
 
 def _cmd_fit(args):
     values = np.loadtxt(args.eigs, ndmin=1)
-    sample = la.SpectrumSample(np.sort(values), values.size, args.parent_n)
-    model = df.fit_density(
-        sample,
-        k_max=args.order,
-        kernel=None if args.kernel == "none" else args.kernel,
-        bandwidth=args.bandwidth,
-        gamma=args.gamma,
-        delta=args.delta,
-        support=args.support,
-        damping=None if args.damping == "none" else args.damping,
-    )
+    sample = la.SpectrumSample(np.sort(values), values.size)
+    model = df.fit_density(sample, k_max=args.order, delta=args.delta, support=args.support)
     fio.save_model(args.output, model)
     grid = np.linspace(model.support[0], model.support[1], 2048)
     dens = model.density(grid)

@@ -1,15 +1,14 @@
 """Smooth density models fitted to eigenvalue samples.
 
 A :class:`DensityModel` represents an absolutely continuous density on a
-compact interval as a weighted orthogonal-polynomial expansion:
+compact interval as a Chebyshev-U expansion
 
-* ``chebyshev-u``: rho(x) = sqrt(1 - t^2) sum_k g_k psi_k U_k(t), t = M(x),
-* ``jacobi``: rho(x) = (2/W) sum_k g_k psi_k w^(a,b)(t) P_k^(a,b)(t),
+    rho(x) = sqrt(1 - t^2) sum_k psi_k U_k(t),   t = M(x),
 
-where ``M`` maps the support onto [-1, 1], ``W`` is the support width and
-``g`` is an optional damping filter.  Coefficients come either from the
-direct moment estimator on eigenvalues or from projecting a kernel-smoothed
-density; an optional Tikhonov penalty regularizes the projection.
+where ``M`` maps the support onto [-1, 1].  The coefficients come from the
+direct moment estimator on the eigenvalues; the noise-dominated tail is
+zeroed and the kept coefficients are repaired to a nonnegative density of
+unit mass.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import betaln, gammaln
 
 from .errors import InputError
 from .linalg import SpectrumSample
@@ -29,14 +27,11 @@ __all__ = [
     "estimate_support",
     "chebyshev_coefficients",
     "chebyshev_coefficients_from_grid",
-    "jacobi_coefficients",
-    "kernel_presmooth",
-    "jackson_damping",
     "repair_positivity_mass",
     "fit_density",
 ]
 
-_PROJECTION_GRID = 4096  # uniform t-points for Galerkin projections
+_PROJECTION_GRID = 4096  # uniform t-points for grid projections
 _REPAIR_GRID = 2048  # Chebyshev-distributed constraint points
 
 
@@ -63,52 +58,13 @@ def _chebyshev_u_matrix(t, k_max):
     return out
 
 
-def _jacobi_matrix(t, k_max, alpha, beta):
-    """Rows P_0^(a,b)(t) .. P_kmax^(a,b)(t) via the three-term recurrence."""
-    t = np.asarray(t, dtype=float)
-    out = np.empty((k_max + 1,) + t.shape)
-    out[0] = 1.0
-    if k_max >= 1:
-        out[1] = 0.5 * (alpha - beta + (alpha + beta + 2.0) * t)
-    for k in range(1, k_max):
-        n = k
-        a1 = 2 * (n + 1) * (n + alpha + beta + 1) * (2 * n + alpha + beta)
-        a2 = (2 * n + alpha + beta + 1) * (alpha**2 - beta**2)
-        a3 = (2 * n + alpha + beta) * (2 * n + alpha + beta + 1) * (2 * n + alpha + beta + 2)
-        a4 = 2 * (n + alpha) * (n + beta) * (2 * n + alpha + beta + 2)
-        out[k + 1] = ((a2 + a3 * t) * out[k] - a4 * out[k - 1]) / a1
-    return out
-
-
-def jacobi_norm_squared(k, alpha, beta):
-    """Squared L2(w) norm of P_k^(alpha,beta) on [-1, 1] (closed form)."""
-    k = np.asarray(k)
-    return np.exp(
-        (alpha + beta + 1) * np.log(2.0)
-        + gammaln(k + alpha + 1)
-        + gammaln(k + beta + 1)
-        - gammaln(k + 1)
-        - gammaln(k + alpha + beta + 1)
-    ) / (2 * k + alpha + beta + 1)
-
-
-def _u_from_jacobi_factor(k):
-    # U_k = c_k P_k^(1/2,1/2); evaluate c_k from values at t = 1.
-    k = np.asarray(k, dtype=float)
-    return (k + 1.0) / np.exp(gammaln(k + 1.5) - gammaln(1.5) - gammaln(k + 1.0))
-
-
 @dataclass(frozen=True)
 class DensityModel:
     """Smoothed spectral density on a compact support interval."""
 
     support: tuple[float, float]
-    basis: str  # 'chebyshev-u' or 'jacobi'
+    basis: str  # always 'chebyshev-u', the one basis with a second-sheet evaluator
     psi: np.ndarray
-    alpha: float = 0.5
-    beta: float = 0.5
-    damping: np.ndarray | None = None
-    gamma: float = 0.0
     degenerate_support: bool = False
     repaired: bool = False
     repair_warning: bool = False
@@ -118,15 +74,9 @@ class DensityModel:
         lo, hi = self.support
         if not lo < hi:
             raise InputError("support must satisfy lo < hi")
-        if self.basis not in ("chebyshev-u", "jacobi"):
-            raise InputError(f"unknown basis {self.basis!r}")
-        psi = np.asarray(self.psi, dtype=float)
-        object.__setattr__(self, "psi", psi)
-        if self.damping is not None:
-            g = np.asarray(self.damping, dtype=float)
-            if g.shape != psi.shape:
-                raise InputError("damping and coefficient arrays must have equal length")
-            object.__setattr__(self, "damping", g)
+        if self.basis != "chebyshev-u":
+            raise InputError(f"unknown basis {self.basis!r}; only 'chebyshev-u' is supported")
+        object.__setattr__(self, "psi", np.asarray(self.psi, dtype=float))
 
     @property
     def order(self):
@@ -137,7 +87,8 @@ class DensityModel:
         return self.support[1] - self.support[0]
 
     def coefficients_effective(self):
-        return self.psi if self.damping is None else self.psi * self.damping
+        """The expansion coefficients ``psi``."""
+        return self.psi
 
     def density(self, x):
         """Model density at ``x`` (vectorized); zero outside the support."""
@@ -145,28 +96,15 @@ class DensityModel:
         t = _affine_to_unit(x, self.support)
         inside = np.abs(t) < 1.0
         tc = np.where(inside, t, 0.0)
-        coef = self.coefficients_effective()
-        if self.basis == "chebyshev-u":
-            basis_vals = _chebyshev_u_matrix(tc, self.order)
-            series = np.tensordot(coef, basis_vals, axes=(0, 0))
-            vals = np.sqrt(np.maximum(1.0 - tc * tc, 0.0)) * series
-        else:
-            basis_vals = _jacobi_matrix(tc, self.order, self.alpha, self.beta)
-            series = np.tensordot(coef, basis_vals, axes=(0, 0))
-            w = (1.0 - tc) ** self.alpha * (1.0 + tc) ** self.beta
-            vals = (2.0 / self.width) * w * series
+        basis_vals = _chebyshev_u_matrix(tc, self.order)
+        series = np.tensordot(self.psi, basis_vals, axes=(0, 0))
+        vals = np.sqrt(np.maximum(1.0 - tc * tc, 0.0)) * series
         vals = np.where(inside, vals, 0.0)
         return vals if vals.ndim else float(vals)
 
     def mass(self):
         """Total integral of the model density (closed form, exact)."""
-        coef = self.coefficients_effective()
-        if self.basis == "chebyshev-u":
-            return float(coef[0] * np.pi * self.width / 4.0)
-        w_integral = np.exp(
-            (self.alpha + self.beta + 1) * np.log(2.0) + betaln(self.alpha + 1, self.beta + 1)
-        )
-        return float(coef[0] * w_integral)
+        return float(self.psi[0] * np.pi * self.width / 4.0)
 
 
 def estimate_support(sample, delta=1e-3):
@@ -206,139 +144,23 @@ def chebyshev_coefficients(sample, support, k_max):
     return 4.0 / (np.pi * sample.source_order * (hi - lo)) * u.sum(axis=1)
 
 
-def jacobi_coefficients(x, rho, support, alpha, beta, k_max, gamma=0.0):
-    """Regularized Galerkin projection of grid density samples.
+def chebyshev_coefficients_from_grid(x, rho, support, k_max):
+    """Chebyshev-U coefficients of density samples given on a grid.
 
-    Parameters
-    ----------
-    x, rho : ndarray
-        Density samples on a grid covering the support.
-    support : pair of floats
-    alpha, beta : float
-        Jacobi exponents, both > -1.
-    k_max : int
-    gamma : float
-        Tikhonov strength; the mode-k penalty is gamma (k/(K+1))^2, so
-        gamma = 0 reduces to the plain projection.
-
-    Returns
-    -------
-    ndarray
-        Coefficients in the t-space convention rho_t = sum psi_k w P_k.
+    psi_k = 4 / (pi W) * integral rho(x) U_k(M(x)) dx, evaluated by the
+    trapezoid rule on a uniform t-grid after linear interpolation of
+    ``rho``; the grid counterpart of :func:`chebyshev_coefficients`.
     """
-    if alpha <= -1 or beta <= -1:
-        raise InputError("Jacobi exponents must exceed -1")
-    if gamma < 0:
-        raise InputError("Tikhonov strength must be >= 0")
+    if k_max < 0:
+        raise InputError("polynomial order must be >= 0")
     x = np.asarray(x, dtype=float)
     rho = np.asarray(rho, dtype=float)
     if not np.all(np.isfinite(rho)):
         raise InputError("density samples contain non-finite values")
-    lo, hi = support[0], support[1]
     t_grid = np.linspace(-1.0, 1.0, _PROJECTION_GRID)
-    # Resample onto the projection grid; rho_t carries the affine Jacobian.
-    rho_t = np.interp(t_grid, _affine_to_unit(x, (lo, hi)), rho) * (hi - lo) / 2.0
-    pk = _jacobi_matrix(t_grid, k_max, alpha, beta)
-    inner = np.trapezoid(pk * rho_t[np.newaxis, :], t_grid, axis=1)
-    k = np.arange(k_max + 1)
-    gamma_k = gamma * (k / (k_max + 1)) ** 2
-    return inner / (gamma_k + jacobi_norm_squared(k, alpha, beta))
-
-
-def chebyshev_coefficients_from_grid(x, rho, support, k_max, gamma=0.0):
-    """Chebyshev-U coefficients by projecting grid density samples.
-
-    Same Galerkin machinery as :func:`jacobi_coefficients` at
-    (alpha, beta) = (1/2, 1/2), converted to the U-basis normalization used
-    by :func:`chebyshev_coefficients`.
-    """
-    phi = jacobi_coefficients(x, rho, support, 0.5, 0.5, k_max, gamma)
-    factor = _u_from_jacobi_factor(np.arange(k_max + 1))
-    return (2.0 / (support[1] - support[0])) * phi / factor
-
-
-def kernel_presmooth(sample, support, kernel="gaussian", bandwidth=None, grid_size=2048):
-    """Kernel density estimate of the eigenvalue sample on a support grid.
-
-    ``kernel='beta'`` uses boundary-adapted beta kernels that vanish outside
-    the support exactly; ``'gaussian'`` is a plain fixed-width KDE.  The
-    default bandwidth is Silverman's rule, clipped from below so the kernel
-    spans at least two grid cells.  The returned samples are rescaled to
-    unit trapezoid mass on the grid.
-
-    Returns
-    -------
-    (x, rho) : pair of ndarray
-    """
-    lo, hi = support[0], support[1]
-    width = hi - lo
-    ev = sample.eigenvalues
-    x = np.linspace(lo, hi, grid_size)
-    cell = width / (grid_size - 1)
-
-    if kernel == "gaussian":
-        if bandwidth is None:
-            bandwidth = _silverman(ev)
-        if bandwidth <= 0:
-            raise InputError("bandwidth must be positive")
-        bandwidth = max(bandwidth, 2.0 * cell)
-        diff = (x[:, np.newaxis] - ev[np.newaxis, :]) / bandwidth
-        rho = np.exp(-0.5 * diff * diff).sum(axis=1) / (
-            ev.size * bandwidth * np.sqrt(2.0 * np.pi)
-        )
-    elif kernel == "beta":
-        s = np.clip((ev - lo) / width, 1e-12, 1.0 - 1e-12)
-        u = (x - lo) / width
-        if bandwidth is None:
-            bandwidth = _silverman(s)
-        if bandwidth <= 0:
-            raise InputError("bandwidth must be positive")
-        h = max(bandwidth, 2.0 / (grid_size - 1))
-        # Chen's beta kernel: at grid point u the kernel over data is
-        # Beta(u/h + 1, (1-u)/h + 1) evaluated at the data points.
-        a = u / h + 1.0
-        b = (1.0 - u) / h + 1.0
-        logpdf = (
-            (a[:, np.newaxis] - 1.0) * np.log(s)[np.newaxis, :]
-            + (b[:, np.newaxis] - 1.0) * np.log1p(-s)[np.newaxis, :]
-            - betaln(a, b)[:, np.newaxis]
-        )
-        rho = np.exp(logpdf).mean(axis=1) / width
-    else:
-        raise InputError(f"unknown kernel {kernel!r}")
-
-    total = np.trapezoid(rho, x)
-    if total <= 0:
-        raise InputError("kernel estimate has vanishing mass on the grid")
-    return x, rho / total
-
-
-def _silverman(values):
-    std = float(np.std(values))
-    iqr = float(np.subtract(*np.percentile(values, [75, 25])))
-    scale = min(std, iqr / 1.34) if iqr > 0 else std
-    if scale <= 0:
-        scale = max(abs(float(values[0])), 1.0) * 1e-3
-    return 1.06 * scale * values.size ** (-0.2)
-
-
-def jackson_damping(k_max):
-    """Jackson filter g_0..g_K suppressing Gibbs oscillations.
-
-    g_k = [(K - k + 1) cos(pi k / (K+1)) + sin(pi k / (K+1)) cot(pi / (K+1))]
-          / (K + 1),
-
-    with g_0 = 1 exactly and g_k nonincreasing.
-    """
-    if k_max < 0:
-        raise InputError("polynomial order must be >= 0")
-    if k_max == 0:
-        return np.ones(1)
-    k = np.arange(k_max + 1, dtype=float)
-    kk = k_max + 1.0
-    g = ((kk - k) * np.cos(np.pi * k / kk) + np.sin(np.pi * k / kk) / np.tan(np.pi / kk)) / kk
-    g[0] = 1.0
-    return np.clip(g, 0.0, 1.0)
+    rho_t = np.interp(t_grid, _affine_to_unit(x, support), rho)
+    u = _chebyshev_u_matrix(t_grid, k_max)
+    return 2.0 / np.pi * np.trapezoid(u * rho_t[np.newaxis, :], t_grid, axis=1)
 
 
 def _constraint_grid(model):
@@ -356,22 +178,32 @@ def repair_positivity_mass(model, tol_neg=1e-9, tol_mass=1e-6, max_iter=500, ste
     descent runs from the current coefficients; if it fails to reach
     feasibility the result is blended toward the single-mode (pure weight
     function) model, which is strictly positive, and flagged.
+
+    Only the coefficients up to the last nonzero one move, so a tail zeroed
+    by :func:`truncate_tail` stays zero.
     """
+    nonzero = np.flatnonzero(model.psi)
+    kept = nonzero[-1] + 1 if nonzero.size else 1
     grid = _constraint_grid(model)
-    basis = _basis_matrix(model, grid)
-    g = np.ones_like(model.psi) if model.damping is None else model.damping
-    mass_vec = _mass_gradient(model) * g
+    basis = _basis_matrix(model.support, grid, kept - 1)
+    mass_vec = np.zeros(kept)
+    mass_vec[0] = np.pi * model.width / 4.0
 
     def density_of(psi):
-        return (g * psi) @ basis
+        return psi @ basis
 
-    psi0 = model.psi.copy()
+    def with_kept(psi, **flags):
+        full = np.zeros_like(model.psi)
+        full[:kept] = psi
+        return replace(model, psi=full, repaired=True, **flags)
+
+    psi0 = model.psi[:kept].copy()
     rho0 = density_of(psi0)
     mass0 = float(mass_vec @ psi0)
     if rho0.min() >= -tol_neg and abs(mass0 - 1.0) <= tol_mass:
         return model
     if mass0 > 0 and rho0.min() >= -tol_neg * mass0:
-        return replace(model, psi=psi0 / mass0, repaired=True)
+        return with_kept(psi0 / mass0)
 
     scale = max(np.linalg.norm(psi0), 1e-30)
     psi = psi0.copy()
@@ -385,7 +217,7 @@ def repair_positivity_mass(model, tol_neg=1e-9, tol_mass=1e-6, max_iter=500, ste
             if best is None or dist < best[0]:
                 best = (dist, psi.copy())
             break
-        grad = 2.0 * (g * (basis @ neg)) / grid.size + 2.0 * mass_err * mass_vec
+        grad = 2.0 * (basis @ neg) / grid.size + 2.0 * mass_err * mass_vec
         gnorm = np.linalg.norm(grad)
         if gnorm == 0:
             break
@@ -403,7 +235,7 @@ def repair_positivity_mass(model, tol_neg=1e-9, tol_mass=1e-6, max_iter=500, ste
     if best is None:
         # Blend toward the strictly positive single-mode model until feasible.
         floor = np.zeros_like(psi0)
-        floor[0] = 1.0 / (_mass_gradient(model)[0] * g[0])
+        floor[0] = 1.0 / mass_vec[0]
         lo_t, hi_t = 0.0, 1.0
         for _ in range(60):
             theta = 0.5 * (lo_t + hi_t)
@@ -417,29 +249,13 @@ def repair_positivity_mass(model, tol_neg=1e-9, tol_mass=1e-6, max_iter=500, ste
         cand = cand / float(mass_vec @ cand)
         best = (np.linalg.norm(cand - psi0), cand)
         warning = True
-    psi = best[1] / float(mass_vec @ best[1])
-    return replace(model, psi=psi, repaired=True, repair_warning=warning)
+    return with_kept(best[1] / float(mass_vec @ best[1]), repair_warning=warning)
 
 
-def _basis_matrix(model, x):
-    t = _affine_to_unit(x, model.support)
+def _basis_matrix(support, x, order):
+    t = _affine_to_unit(x, support)
     t = np.clip(t, -1.0, 1.0)
-    if model.basis == "chebyshev-u":
-        return np.sqrt(np.maximum(1.0 - t * t, 0.0)) * _chebyshev_u_matrix(t, model.order)
-    w = (1.0 - t) ** model.alpha * (1.0 + t) ** model.beta
-    return (2.0 / model.width) * w * _jacobi_matrix(t, model.order, model.alpha, model.beta)
-
-
-def _mass_gradient(model):
-    grad = np.zeros_like(model.psi)
-    if model.basis == "chebyshev-u":
-        grad[0] = np.pi * model.width / 4.0
-    else:
-        grad[0] = np.exp(
-            (model.alpha + model.beta + 1) * np.log(2.0)
-            + betaln(model.alpha + 1, model.beta + 1)
-        )
-    return grad
+    return np.sqrt(np.maximum(1.0 - t * t, 0.0)) * _chebyshev_u_matrix(t, order)
 
 
 def estimate_support_edges(sample, pad_scale=0.5):
@@ -477,34 +293,19 @@ def truncate_tail(psi, k_min=4, k_cap=6):
     return psi, k_eff
 
 
-def fit_density(
-    sample,
-    k_max=50,
-    basis="chebyshev-u",
-    kernel=None,
-    bandwidth=None,
-    alpha=0.5,
-    beta=0.5,
-    gamma=1e-4,
-    delta=1e-3,
-    support="edges",
-    damping=None,
-    tail="truncate",
-    repair=True,
-):
+def fit_density(sample, k_max=50, delta=1e-3, support="edges", tail="truncate", repair=True):
     """Fit a DensityModel to an eigenvalue sample.
 
-    With ``kernel=None`` the Chebyshev coefficients come from the direct
-    moment estimator on the eigenvalues (Chebyshev basis only); otherwise
-    the sample is presmoothed with the named kernel and projected with
-    Tikhonov strength ``gamma``.
+    The Chebyshev-U coefficients come from the direct moment estimator on
+    the eigenvalues (:func:`chebyshev_coefficients`).
 
     ``support`` selects the interval strategy: ``'edges'`` (default) pads
     the extreme eigenvalues on the Tracy-Widom scale, ``'minmax'`` uses the
     bare ``delta / n`` padding, or pass an explicit ``(lo, hi)`` pair.
     ``tail='truncate'`` zeroes noise-dominated high orders, which analytic
-    continuation would otherwise amplify; ``damping='jackson'`` applies the
-    classical filter instead (better for display, worse for continuation).
+    continuation would otherwise amplify.  ``repair`` makes the kept
+    coefficients a nonnegative density of unit mass
+    (:func:`repair_positivity_mass`).
     """
     if not isinstance(sample, SpectrumSample):
         raise InputError("fit_density expects a SpectrumSample")
@@ -516,38 +317,16 @@ def fit_density(
     else:
         lo, hi = support
     support = (lo, hi)
-    if kernel is None:
-        if basis != "chebyshev-u":
-            raise InputError("the moment estimator applies to the Chebyshev basis only")
-        psi = chebyshev_coefficients(sample, support, k_max)
-    else:
-        x, rho = kernel_presmooth(sample, support, kernel, bandwidth)
-        if basis == "chebyshev-u":
-            psi = chebyshev_coefficients_from_grid(x, rho, support, k_max, gamma)
-        else:
-            psi = jacobi_coefficients(x, rho, support, alpha, beta, k_max, gamma)
+    psi = chebyshev_coefficients(sample, support, k_max)
     k_eff = None
     if tail == "truncate":
         psi, k_eff = truncate_tail(psi)
-    g = jackson_damping(k_max) if damping == "jackson" else None
     model = DensityModel(
         support=support,
-        basis=basis,
+        basis="chebyshev-u",
         psi=psi,
-        alpha=alpha,
-        beta=beta,
-        damping=g,
-        gamma=gamma if kernel is not None else 0.0,
         degenerate_support=degenerate,
-        meta={
-            "n_s": sample.source_order,
-            "k_max": k_max,
-            "k_eff": k_eff,
-            "kernel": kernel,
-            "bandwidth": bandwidth,
-            "gamma": gamma,
-            "delta": delta,
-        },
+        meta={"n_s": sample.source_order, "k_max": k_max, "k_eff": k_eff, "delta": delta},
     )
     if repair:
         model = repair_positivity_mass(model)

@@ -28,6 +28,10 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
+_MODEL_KEYS = {
+    "schema_version", "support", "basis", "coefficients", "repaired", "repair_warning",
+    "degenerate_support", "fit_meta", "gamma",
+}
 
 
 def atomic_write(path, text):
@@ -44,17 +48,11 @@ def atomic_write(path, text):
 
 
 def model_to_dict(model):
-    basis = {"kind": model.basis}
-    if model.basis == "jacobi":
-        basis["alpha"] = model.alpha
-        basis["beta"] = model.beta
     return {
         "schema_version": SCHEMA_VERSION,
         "support": [model.support[0], model.support[1]],
-        "basis": basis,
+        "basis": {"kind": model.basis},
         "coefficients": list(map(float, model.psi)),
-        "damping": None if model.damping is None else list(map(float, model.damping)),
-        "gamma": float(model.gamma),
         "repaired": bool(model.repaired),
         "repair_warning": bool(model.repair_warning),
         "degenerate_support": bool(model.degenerate_support),
@@ -63,30 +61,26 @@ def model_to_dict(model):
 
 
 def model_from_dict(doc):
+    """Model from a parsed JSON document.
+
+    A non-null entry the model cannot represent (a glue continuation, a
+    coefficient filter) raises ``InputError``, since ignoring it would
+    silently change what the file decompresses to; so does a basis other
+    than Chebyshev-U.  A stored ``gamma``, a fit setting that never changed
+    the evaluated model, is ignored.
+    """
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise InputError(f"unsupported model schema_version {doc.get('schema_version')!r}")
     support = doc["support"]
     if not (len(support) == 2 and support[0] < support[1]):
         raise InputError("model support must be [lo, hi] with lo < hi")
-    if doc.get("glue") is not None:
-        # No evaluator reads a stored glue continuation; ignoring it would
-        # silently change what the file decompresses to.
-        raise InputError("model carries a glue continuation, which is no longer supported")
-    coeffs = np.asarray(doc["coefficients"], dtype=float)
-    damping = doc.get("damping")
-    if damping is not None:
-        damping = np.asarray(damping, dtype=float)
-        if damping.shape != coeffs.shape:
-            raise InputError("damping and coefficient arrays must have equal length")
-    basis = doc["basis"]
+    unknown = sorted(k for k, v in doc.items() if k not in _MODEL_KEYS and v is not None)
+    if unknown:
+        raise InputError(f"model document has unsupported entries: {', '.join(unknown)}")
     return DensityModel(
         support=(float(support[0]), float(support[1])),
-        basis=basis["kind"],
-        psi=coeffs,
-        alpha=float(basis.get("alpha", 0.5)),
-        beta=float(basis.get("beta", 0.5)),
-        damping=damping,
-        gamma=float(doc.get("gamma", 0.0)),
+        basis=doc["basis"]["kind"],
+        psi=np.asarray(doc["coefficients"], dtype=float),
         degenerate_support=bool(doc.get("degenerate_support", False)),
         repaired=bool(doc.get("repaired", False)),
         repair_warning=bool(doc.get("repair_warning", False)),

@@ -37,7 +37,7 @@ def make_rng(seed):
 
 @dataclass(frozen=True)
 class SpectrumSample:
-    """Eigenvalues of a sampled principal submatrix plus provenance.
+    """Eigenvalues of a sampled principal submatrix.
 
     Attributes
     ----------
@@ -45,13 +45,10 @@ class SpectrumSample:
         All eigenvalues, sorted ascending.
     source_order : int
         Dimension of the (sub)matrix the eigenvalues came from.
-    parent_order : int or None
-        Dimension of the full matrix, when known.
     """
 
     eigenvalues: np.ndarray
     source_order: int
-    parent_order: int | None = None
 
     def __post_init__(self):
         ev = np.asarray(self.eigenvalues, dtype=float)
@@ -73,16 +70,13 @@ def _check_symmetric(a):
     return a
 
 
-def eigenvalues_symmetric(a, parent_order=None):
+def eigenvalues_symmetric(a):
     """All eigenvalues of a real symmetric matrix, sorted ascending.
 
     Parameters
     ----------
     a : (n, n) ndarray
         Exactly symmetric with finite entries.
-    parent_order : int, optional
-        Recorded on the returned sample when ``a`` is a submatrix of a
-        larger matrix.
 
     Returns
     -------
@@ -94,7 +88,7 @@ def eigenvalues_symmetric(a, parent_order=None):
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NumericalError(f"symmetric eigensolve failed to converge: {exc}") from exc
     ev = np.sort(ev)
-    return SpectrumSample(ev, a.shape[0], parent_order)
+    return SpectrumSample(ev, a.shape[0])
 
 
 def _random_index_subset(n, k, rng):

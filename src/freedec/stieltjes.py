@@ -185,13 +185,9 @@ class ChebyshevPadeEvaluator:
     residual_scale = 1e-9
 
     def __init__(self, model):
-        if model.basis != "chebyshev-u":
-            raise InputError(
-                f"Pade-Chebyshev evaluation needs a Chebyshev-U model, not a {model.basis!r}-basis one"
-            )
         self.model = model
         self.support = model.support
-        coeffs = model.coefficients_effective()
+        coeffs = model.psi
         nonzero = np.flatnonzero(coeffs)
         self.coeffs = coeffs[: nonzero[-1] + 1 if nonzero.size else 1]
 
@@ -359,10 +355,5 @@ class LanczosEvaluator:
 
 
 def evaluator_for_model(model):
-    """The second-sheet evaluator for a fitted model.
-
-    Only Chebyshev-U models have one; a model in another basis can be
-    evaluated on the support (``density``) but not decompressed, and raises
-    ``InputError``.
-    """
+    """The second-sheet evaluator for a fitted model: Pade-Chebyshev."""
     return ChebyshevPadeEvaluator(model)

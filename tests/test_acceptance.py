@@ -338,7 +338,7 @@ def test_ill_conditioned_ingestion():
         a = a - 2.0 * np.outer(v, av) - 2.0 * np.outer(av, v) + 4.0 * vav * np.outer(v, v)
         a = (a + a.T) / 2.0
     sub = sample_principal_submatrix(a, 1000, seed=7)
-    sample = eigenvalues_symmetric(sub, parent_order=n)
+    sample = eigenvalues_symmetric(sub)
     model = fit_density(sample)
     grid = np.linspace(model.support[0], model.support[1], 2048)
     res = decompress_density(

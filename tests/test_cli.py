@@ -106,7 +106,6 @@ def test_model_roundtrip_exact():
         support=(-1.25, 2.75),
         basis="chebyshev-u",
         psi=rng.standard_normal(17) * np.pi,
-        gamma=3e-4,
         degenerate_support=True,
         repaired=True,
         repair_warning=True,
@@ -116,13 +115,11 @@ def test_model_roundtrip_exact():
     back = model_from_dict(doc)
     assert np.array_equal(back.psi, model.psi)  # repr round-trip is exact
     assert back.support == model.support
-    assert back.gamma == model.gamma
     assert back.degenerate_support and back.repaired and back.repair_warning
     # documents written before these fields existed load with the defaults
-    for key in ("gamma", "degenerate_support", "repaired", "repair_warning"):
+    for key in ("degenerate_support", "repaired", "repair_warning"):
         del doc[key]
     old = model_from_dict(doc)
-    assert old.gamma == 0.0
     assert not (old.degenerate_support or old.repaired or old.repair_warning)
 
 
@@ -139,6 +136,16 @@ def test_model_schema_validation(tmp_path):
     with pytest.raises(InputError, match="glue"):
         load_model(path)
     path.write_text(json.dumps({**good, "glue": None}))
+    assert load_model(path).psi.tolist() == [1.0]
+    # so are a basis without a second-sheet evaluator and a damping filter
+    path.write_text(json.dumps({**good, "basis": {"kind": "jacobi", "alpha": 0.5, "beta": 0.5}}))
+    with pytest.raises(InputError, match="jacobi"):
+        load_model(path)
+    path.write_text(json.dumps({**good, "damping": [1.0]}))
+    with pytest.raises(InputError, match="damping"):
+        load_model(path)
+    # documents written with the old damping and gamma keys still load
+    path.write_text(json.dumps({**good, "damping": None, "gamma": 1e-4}))
     assert load_model(path).psi.tolist() == [1.0]
 
 

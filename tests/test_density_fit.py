@@ -10,10 +10,6 @@ from freedec import (
     chebyshev_coefficients_from_grid,
     estimate_support,
     fit_density,
-    jackson_damping,
-    jacobi_coefficients,
-    kernel_presmooth,
-    law_density,
     make_rng,
     marchenko_pastur_law,
     repair_positivity_mass,
@@ -86,36 +82,22 @@ def test_moment_estimator_rejects_outliers():
         chebyshev_coefficients(s, (0.0, 1.0), 4)
 
 
-def test_legendre_projection_of_constant():
-    xs = np.linspace(-1, 1, 1024)
-    phi = jacobi_coefficients(xs, np.full_like(xs, 0.5), (-1, 1), 0.0, 0.0, 5, 0.0)
-    assert phi[0] == pytest.approx(0.5, abs=1e-6)
-    assert np.max(np.abs(phi[1:])) <= 1e-5
-
-
-def test_tikhonov_shrinks_high_orders_harder():
-    xs = np.linspace(-1, 1, 1024)
-    rho = 0.5 + 0.2 * xs + 0.3 * xs**2
-    plain = jacobi_coefficients(xs, rho, (-1, 1), 0.0, 0.0, 4, 0.0)
-    heavy = jacobi_coefficients(xs, rho, (-1, 1), 0.0, 0.0, 4, 1e6)
-    # k = 0 untouched by the k^2 schedule, high orders crushed
-    assert heavy[0] == pytest.approx(plain[0], rel=1e-9)
-    assert abs(heavy[2]) < 1e-3 * abs(plain[2])
-
-
-def test_basis_conversion_consistency():
-    # Chebyshev projection is the (1/2, 1/2) Jacobi projection reexpressed;
-    # the two models must evaluate to the same density.
-    law = marchenko_pastur_law(0.5)
-    sup = law.support
+def test_grid_projection_recovers_coefficients():
+    # a density built from known coefficients projects back onto them; the
+    # square-root edges limit the 4096-point trapezoid rule to O(h^1.5),
+    # about 2e-5 here
+    sup = (0.3, 2.1)
+    psi = np.array([4 / (np.pi * 1.8), 0.05, -0.08, 0.03, 0.0, -0.01, 0.004])
+    model = DensityModel(support=sup, basis="chebyshev-u", psi=psi)
     xs = np.linspace(sup[0], sup[1], 4096)
-    rho = law_density(law, xs)
-    psi_u = chebyshev_coefficients_from_grid(xs, rho, sup, 24)
-    phi_j = jacobi_coefficients(xs, rho, sup, 0.5, 0.5, 24, 0.0)
-    m_u = DensityModel(support=sup, basis="chebyshev-u", psi=psi_u)
-    m_j = DensityModel(support=sup, basis="jacobi", psi=phi_j, alpha=0.5, beta=0.5)
-    grid = np.linspace(sup[0], sup[1], 2000)
-    assert np.max(np.abs(m_u.density(grid) - m_j.density(grid))) <= 1e-8
+    recovered = chebyshev_coefficients_from_grid(xs, model.density(xs), sup, 10)
+    assert np.max(np.abs(recovered[:7] - psi)) <= 5e-5
+    assert np.max(np.abs(recovered[7:])) <= 5e-5
+
+
+def test_model_rejects_other_basis():
+    with pytest.raises(InputError, match="jacobi"):
+        DensityModel(support=(0.0, 1.0), basis="jacobi", psi=np.array([1.0, 0.1]))
 
 
 def test_affine_equivariance():
@@ -127,74 +109,6 @@ def test_affine_equivariance():
     grid = np.linspace(*m1.support, 1500)
     pushed = m1.density(grid) / scale
     assert np.max(np.abs(m2.density(scale * grid + shift) - pushed)) <= 1e-8
-
-
-# ---------------------------------------------------------------------------
-# kernels
-
-
-def test_gaussian_kernel_single_bump():
-    s = SpectrumSample(np.array([0.5]), 1)
-    x, rho = kernel_presmooth(s, (0.0, 1.0), "gaussian", bandwidth=0.05)
-    assert x[np.argmax(rho)] == pytest.approx(0.5, abs=0.01)
-    assert np.trapezoid(rho, x) == pytest.approx(1.0, abs=1e-3)
-
-
-def test_beta_kernel_vanishes_outside():
-    s = _semicircle_sample(500, seed=9)
-    x, rho = kernel_presmooth(s, (-1.0, 1.0), "beta")
-    assert rho.min() >= 0
-    assert np.trapezoid(rho, x) == pytest.approx(1.0, abs=1e-3)
-    # beta kernels are supported on the interval, so a model built from the
-    # smoothed samples carries no mass outside it
-    model = fit_density(s, k_max=20, kernel="beta", tail=None)
-    outside = np.array([-1.5, 1.5, model.support[0] - 1e-9, model.support[1] + 1e-9])
-    assert np.all(model.density(outside) == 0.0)
-
-
-def test_mp_kde_accuracy():
-    law = marchenko_pastur_law(1 / 50)
-    rng = make_rng(2)
-    x = rng.standard_normal((1000, 5000))
-    a = x @ x.T / 5000
-    law = marchenko_pastur_law(0.2)
-    ev = np.sort(np.linalg.eigvalsh((a + a.T) / 2))
-    s = SpectrumSample(ev, 1000)
-    lo, hi, _ = estimate_support(s, 1e-3)
-    xg, rho = kernel_presmooth(s, (lo, hi), "beta")
-    l1 = np.trapezoid(np.abs(rho - law_density(law, xg)), xg)
-    assert l1 <= 0.08
-
-
-def test_kernel_validation():
-    s = SpectrumSample(np.array([0.3, 0.6]), 2)
-    with pytest.raises(InputError):
-        kernel_presmooth(s, (0.0, 1.0), "gaussian", bandwidth=-0.1)
-    with pytest.raises(InputError):
-        kernel_presmooth(s, (0.0, 1.0), "triangular")
-
-
-# ---------------------------------------------------------------------------
-# damping
-
-
-def test_jackson_endpoints_and_shape():
-    g = jackson_damping(1)
-    assert g[0] == 1.0
-    assert g[1] == pytest.approx(0.0, abs=1e-15)
-    g50 = jackson_damping(50)
-    assert g50[0] == 1.0
-    assert np.all(np.diff(g50) < 0)
-    assert np.all((g50 >= 0) & (g50 <= 1))
-    assert np.array_equal(jackson_damping(0), [1.0])
-
-
-def test_damping_reduces_negative_excursion():
-    s = _semicircle_sample(300, seed=21)
-    raw = fit_density(s, k_max=40, tail=None, damping=None, repair=False)
-    damped = fit_density(s, k_max=40, tail=None, damping="jackson", repair=False)
-    grid = np.linspace(*raw.support, 4096)
-    assert damped.density(grid).min() >= raw.density(grid).min() - 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +148,15 @@ def test_repair_negative_lobe():
     assert fixed.density(grid).min() >= -1e-9
     assert fixed.mass() == pytest.approx(1.0, abs=1e-6)
     assert fixed.repaired
+
+
+def test_repair_keeps_truncated_tail_zero():
+    # a log-spaced spectrum needs the repair; it must not refill the tail
+    # that truncate_tail zeroed
+    model = fit_density(SpectrumSample(np.geomspace(1e-2, 1e2, 400), 400))
+    assert model.repaired
+    assert np.count_nonzero(model.psi) == model.meta["k_eff"] + 1
+    assert model.mass() == pytest.approx(1.0, abs=1e-6)
 
 
 def test_fit_density_invariants():

@@ -185,10 +185,6 @@ def test_pade_plemelj_recovery():
 def test_evaluator_for_model_chebyshev_only():
     model, _ = _mp_model(lam=0.5, k_max=20)
     assert isinstance(evaluator_for_model(model), ChebyshevPadeEvaluator)
-    jacobi = DensityModel(support=model.support, basis="jacobi", psi=np.array([1.0, 0.1]),
-                          alpha=0.5, beta=0.5)
-    with pytest.raises(InputError, match="jacobi"):
-        evaluator_for_model(jacobi)
 
 
 def test_pade_drops_zero_tail():
