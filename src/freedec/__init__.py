@@ -74,7 +74,6 @@ from .stieltjes import (
     joukowski_inverse,
     lanczos_stieltjes,
     lanczos_tridiagonal,
-    wynn_epsilon,
 )
 
 __version__ = "0.1.0"

@@ -5,7 +5,8 @@ an eigenvalue file), ``decompress`` (evolve a model to a larger dimension),
 ``metrics`` (compare two density files).  Every stochastic command requires
 an explicit ``--seed``; results are byte-reproducible.  ``decompress``
 writes the density CSV plus a ``.diag.json`` sidecar with the solver's
-residual, iteration, failure and degraded counts and the model's fit flags.
+residual, iteration, failure and degraded counts, the model's fit flags and
+the evaluator's Pade approximant count and breakdown flag.
 """
 
 from __future__ import annotations
@@ -151,6 +152,8 @@ def _cmd_decompress(args):
         "grid_points": int(result.grid.size),
         "max_residual": float(np.nanmax(result.residuals)),
         "max_iterations": int(result.iterations.max()),
+        "pade_approximants": evaluator.approximant_count,
+        "pade_breakdown": evaluator.breakdown,
         "k_eff": model.meta.get("k_eff"),
         "repaired": model.repaired,
         "repair_warning": model.repair_warning,

@@ -77,7 +77,6 @@ class DecompressionResult:
     iterations: np.ndarray
     failed: np.ndarray
     degraded: np.ndarray = field(repr=False, default=None)
-    raw_density: np.ndarray = field(repr=False, default=None)
 
     def mass(self):
         good = ~self.failed
@@ -110,8 +109,6 @@ def _newton(evaluator, targets, t, z0, tol, max_iter):
     iters_full = np.full(n, max_iter, dtype=int)
     lo, hi = evaluator.support
     max_step = 0.5 * max(hi - lo, 1.0) * max(np.exp(t / 2.0), 1.0)
-    # Evaluators with intrinsic evaluation noise cap attainable residuals.
-    tol = max(tol, getattr(evaluator, "residual_scale", 0.0))
 
     def fval(zz, tg):
         m = np.asarray(evaluator.evaluate(zz, "secondary"), dtype=complex)
@@ -175,7 +172,7 @@ def _newton(evaluator, targets, t, z0, tol, max_iter):
     return z_full, resid_full, iters_full, conv
 
 
-def solve_characteristic(evaluator, x, t, delta=None, tol=1e-12, max_iter=200, z0=None):
+def solve_characteristic(evaluator, x, t, delta=None, tol=1e-12, max_iter=200):
     """Characteristic root z_x for a single real abscissa ``x``.
 
     Returns ``(z_x, info)`` where ``info`` carries the residual, iteration
@@ -189,9 +186,7 @@ def solve_characteristic(evaluator, x, t, delta=None, tol=1e-12, max_iter=200, z
     target = complex(x, delta)
     if t == 0:
         return target, {"residual": 0.0, "iterations": 0, "converged": True}
-    z, resid, iters, conv = _solve_targets(
-        evaluator, np.array([target]), t, tol, max_iter, z0=None if z0 is None else np.array([z0])
-    )
+    z, resid, iters, conv = _solve_targets(evaluator, np.array([target]), t, tol, max_iter)
     info = {"residual": float(resid[0]), "iterations": int(iters[0]), "converged": bool(conv[0])}
     if not conv[0]:
         info["flag"] = "newton-stagnation"
@@ -232,7 +227,7 @@ def _take_better(idx, z2, r2, i2, c2, z, resid, iters, conv):
     conv[idx] |= c2
 
 
-def _solve_targets(evaluator, targets, t, tol, max_iter, z0=None, substeps=None):
+def _solve_targets(evaluator, targets, t, tol, max_iter):
     """Continuation in t from the degenerate start z = target.
 
     The root moves continuously in t, so a few loosely converged substeps
@@ -245,9 +240,8 @@ def _solve_targets(evaluator, targets, t, tol, max_iter, z0=None, substeps=None)
     solve that produced each returned root.
     """
     targets = np.asarray(targets, dtype=complex)
-    if substeps is None:
-        substeps = max(2, int(np.ceil(t / 0.9)))
-    z = targets.copy() if z0 is None else np.array(z0, dtype=complex)
+    substeps = max(2, int(np.ceil(t / 0.9)))
+    z = targets.copy()
     tol_sub = max(tol, 1e-8)
     for j in range(1, substeps):
         tj = t * j / substeps
@@ -288,6 +282,11 @@ def decompress_density(request):
     ratio = request.resolved_ratio()
     t = float(np.log(ratio))
     evaluator = request.evaluator
+    if ratio >= evaluator.max_ratio:
+        raise InputError(
+            f"ratio {ratio:g} is outside the source law's decompression domain "
+            f"(ratio < {evaluator.max_ratio:g}): no probability law answers it"
+        )
     delta = request.delta if request.delta is not None else _default_delta(evaluator)
     if not 0 < delta < 1:
         raise InputError("imaginary offset delta must lie in (0, 1)")
@@ -319,7 +318,6 @@ def decompress_density(request):
             iterations=np.zeros(grid.size, dtype=int),
             failed=np.zeros(grid.size, dtype=bool),
             degraded=np.zeros(grid.size, dtype=bool),
-            raw_density=dens,
         )
         return result
 
@@ -381,7 +379,6 @@ def decompress_density(request):
         iterations=iters,
         failed=failed,
         degraded=degraded,
-        raw_density=raw,
     )
 
 

@@ -20,7 +20,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .errors import InputError, NumericalError
-from .linalg import make_rng
+from .linalg import _haar, make_rng
 
 __all__ = [
     "EnsembleLaw",
@@ -449,10 +449,3 @@ def draw_ensemble(name, n, seed, d=None, d1=None, d2=None, coeffs=None):
     else:
         raise InputError(f"unknown ensemble {name!r}")
     return EnsembleDraw(law, mat, params)
-
-
-def _haar(rng, n):
-    z = rng.standard_normal((n, n))
-    q, r = np.linalg.qr(z)
-    dsign = np.where(np.diagonal(r) >= 0, 1.0, -1.0)
-    return q * dsign[np.newaxis, :]

@@ -123,9 +123,11 @@ def haar_orthogonal(n, seed):
     """
     if n < 1:
         raise InputError("order must be >= 1")
-    rng = make_rng(seed)
+    return _haar(make_rng(seed), n)
+
+
+def _haar(rng, n):
     z = rng.standard_normal((n, n))
     q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    signs = np.where(d >= 0, 1.0, -1.0)
+    signs = np.where(np.diagonal(r) >= 0, 1.0, -1.0)
     return q * signs[np.newaxis, :]

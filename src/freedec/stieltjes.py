@@ -5,9 +5,9 @@ density:
 
 * Pade-Chebyshev, the evaluator for fitted models: the Chebyshev-U
   expansion of rho turns the transform into a power series in the inverse
-  Joukowski variable, evaluated through Wynn's epsilon algorithm so it
-  keeps working outside the series' disk of convergence.  This gives the
-  second-sheet continuation used by the characteristic solver for free.
+  Joukowski variable.  Its diagonal Pade approximants, solved once per
+  model, keep working outside the series' disk of convergence, which gives
+  the second-sheet continuation used by the characteristic solver for free.
 * Law: the closed-form transform of a benchmark ensemble law.
 * Lanczos: the continued-fraction resolvent approximation built from a
   matrix, for diagnostics and baselines.
@@ -15,7 +15,9 @@ density:
 All evaluators share the same interface: ``evaluate(z, branch)`` with branch
 'principal' (cut on the support) or 'secondary' (continued through the cut,
 discontinuous on the real axis outside it), plus ``derivative`` for Newton
-solvers and ``density`` for the underlying model where available.
+solvers, ``density`` for the underlying model where available, and
+``max_ratio``, the decompression ratio at which the source law stops having
+a free convolution power (infinite where the evaluator knows of no limit).
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from .linalg import make_rng, _check_symmetric
 __all__ = [
     "joukowski",
     "joukowski_inverse",
-    "wynn_epsilon",
     "ChebyshevPadeEvaluator",
     "LanczosEvaluator",
     "LawEvaluator",
@@ -76,113 +77,61 @@ def _joukowski_second_sheet(z):
     return out if out.ndim else complex(out)
 
 
-def wynn_epsilon(coeffs, z, breakdown=1e-300, return_info=False):
-    """Evaluate sum_k c_k z^k through Wynn's epsilon table.
-
-    The table reproduces rational functions exactly and analytically
-    continues the series outside its disk of convergence.  Partial sums are
-    accumulated with compensated summation; table entries whose update would
-    divide by a difference below ``breakdown`` are frozen.  Per evaluation
-    point the returned value is the stablest even-column entry: successive
-    entries along the top diagonal first approach the limit and then degrade
-    once roundoff (or coefficient noise) is amplified, so the entry with the
-    smallest jump from its predecessor wins.
-
-    Parameters
-    ----------
-    coeffs : sequence of complex
-    z : complex or ndarray
-    return_info : bool
-        Also return (depth, breakdown_flag) arrays.
-    """
-    coeffs = np.asarray(coeffs, dtype=complex)
-    if coeffs.size < 1:
-        raise InputError("need at least one series coefficient")
-    z = np.asarray(z, dtype=complex)
-    shape = z.shape
-    zf = z.ravel()
-    npts = zf.size
-    n = coeffs.size
-
-    # Compensated (Kahan) accumulation of the partial sums.
-    sums = np.empty((n, npts), dtype=complex)
-    acc = np.zeros(npts, dtype=complex)
-    comp = np.zeros(npts, dtype=complex)
-    power = np.ones(npts, dtype=complex)
-    for k in range(n):
-        term = coeffs[k] * power - comp
-        total = acc + term
-        comp = (total - acc) - term
-        acc = total
-        sums[k] = acc
-        power = power * zf
-
-    if n == 1:
-        result = sums[0].reshape(shape)
-        if return_info:
-            return result, np.zeros(shape, dtype=int), np.zeros(shape, dtype=bool)
-        return result if shape else complex(result)
-
-    col_prev = np.zeros((n, npts), dtype=complex)  # epsilon_{-1}
-    col_curr = sums  # epsilon_0
-    valid = np.ones((n, npts), dtype=bool)
-    best = sums[-1].copy()
-    best_jump = np.full(npts, np.inf)
-    prev_cand = sums[0].copy()
-    have_prev = np.ones(npts, dtype=bool)
-    depth = np.zeros(npts, dtype=int)
-    broke = np.zeros(npts, dtype=bool)
-
-    for j in range(1, n):
-        rows = n - j
-        diff = col_curr[1 : rows + 1] - col_curr[:rows]
-        bad = (np.abs(diff) < breakdown) | ~np.isfinite(diff)
-        safe = np.where(bad, 1.0, diff)
-        col_next = col_prev[1 : rows + 1] + 1.0 / safe
-        v = valid[1 : rows + 1] & valid[:rows] & ~bad & np.isfinite(col_next)
-        if j % 2 == 0:
-            cand = col_next[0]
-            jump = np.abs(cand - prev_cand)
-            take = v[0] & have_prev & (jump <= best_jump)
-            best = np.where(take, cand, best)
-            best_jump = np.where(take, jump, best_jump)
-            depth = np.where(take, j, depth)
-            prev_cand = np.where(v[0], cand, prev_cand)
-            have_prev = v[0]
-        broke |= bad.any(axis=0)
-        col_prev = col_curr
-        col_curr = col_next
-        valid = v
-        if not valid.any():
-            break
-
-    result = best.reshape(shape)
-    if return_info:
-        return result, depth.reshape(shape), broke.reshape(shape)
-    return result if shape else complex(result)
-
-
 # ----------------------------------------------------------------------
 # evaluators
+
+
+def _diagonal_pade(coeffs):
+    """Diagonal Pade approximants [k/k] of the power series sum_i c_i w^i.
+
+    Returns ``(num, den, breakdown)``.  Row k of the coefficient matrices
+    (low degree first, zero-padded to the series length) is [k/k] for
+    k = 1 .. floor((n - 1) / 2); row 0 is the plain partial sum.  Each
+    denominator solves its k x k Toeplitz system by minimum-norm least
+    squares, so a series that is exactly rational of lower degree, whose
+    deeper systems are singular, still gives that rational function.  [k/k]
+    needs c_1 .. c_2k nonzero and finite; the list stops before the first k
+    without them, and ``breakdown`` reports whether that cut it short.
+    """
+    n = coeffs.size
+    k_max = (n - 1) // 2
+    unusable = np.flatnonzero((coeffs[1:] == 0) | ~np.isfinite(coeffs[1:]))
+    count = k_max if unusable.size == 0 else min(k_max, unusable[0] // 2)
+    num = np.zeros((count + 1, n))
+    den = np.zeros((count + 1, n))
+    num[0] = coeffs
+    den[0, 0] = 1.0
+    for k in range(1, count + 1):
+        toeplitz = scipy.linalg.toeplitz(coeffs[k : 2 * k], coeffs[k:0:-1])
+        q = np.concatenate([[1.0], scipy.linalg.lstsq(toeplitz, -coeffs[k + 1 : 2 * k + 1])[0]])
+        den[k, : k + 1] = q
+        num[k, : k + 1] = np.convolve(q, coeffs[: k + 1])[: k + 1]
+    return num, den, count < k_max
 
 
 class ChebyshevPadeEvaluator:
     """Second-sheet Stieltjes evaluator for Chebyshev-U density models.
 
-    m(z) = -pi Lambda(J(M(z))) with Lambda(w) = sum_k c_k w^{k+1}; the
-    series is evaluated through Wynn's epsilon table (a Pade approximant),
-    which converges on both Joukowski sheets, so continuing through the
-    support cut only requires switching the J branch below the axis.
+    m(z) = -pi w S(w) with w = J(M(z)) and S(w) = sum_k c_k w^k.  The
+    diagonal Pade approximants of S are solved once, at construction
+    (``approximant_count`` of them; ``breakdown`` when a zero coefficient
+    cut the list short).  They converge on both Joukowski sheets, so
+    continuing through the support cut only requires switching the J branch
+    below the axis.  Per evaluation point the approximant is chosen as
+    Wynn's epsilon algorithm would: starting from c_0, each successive finite
+    approximant whose jump from its predecessor is no larger than the
+    smallest jump so far replaces the choice, since successive approximants
+    first approach the limit and then degrade once roundoff or coefficient
+    noise is amplified.  With no approximants the partial sum is used.  The
+    derivative is that of the chosen approximant.
 
     Trailing zero coefficients (the tail cut by ``truncate_tail``) are
-    dropped before evaluation: they leave the series unchanged but would
-    lengthen every epsilon table.
+    dropped first: they leave the series and its approximants unchanged,
+    but would widen every evaluation and read as a breakdown.
     """
 
     method = "pade-chebyshev"
-    # Deep epsilon-table entries carry roundoff amplified to ~1e-9; root
-    # finders should not demand residuals below this.
-    residual_scale = 1e-9
+    max_ratio = np.inf
 
     def __init__(self, model):
         self.model = model
@@ -190,25 +139,54 @@ class ChebyshevPadeEvaluator:
         coeffs = model.psi
         nonzero = np.flatnonzero(coeffs)
         self.coeffs = coeffs[: nonzero[-1] + 1 if nonzero.size else 1]
+        self._num, self._den, self.breakdown = _diagonal_pade(self.coeffs)
+        self.approximant_count = self._num.shape[0] - 1
+        orders = np.arange(1, self.coeffs.size)
+        self._dnum = self._num[:, 1:] * orders
+        self._dden = self._den[:, 1:] * orders
 
-    def evaluate(self, z, branch="secondary"):
-        z = np.asarray(z, dtype=complex)
-        u = _affine_to_unit(z, self.support)
+    def _chosen(self, z, branch):
+        """Flat (w, u, powers of w, chosen index, its value R(w), its denominator)."""
+        u = _affine_to_unit(np.asarray(z, dtype=complex), self.support).ravel()
         if branch == "principal":
             w = joukowski_inverse(u)
         elif branch == "secondary":
             w = _joukowski_second_sheet(u)
         else:
             raise InputError(f"unknown branch {branch!r}")
-        w = np.asarray(w, dtype=complex)
-        out = -np.pi * w * wynn_epsilon(self.coeffs, w)
-        return out if np.ndim(out) else complex(out)
+        powers = np.vander(w, self.coeffs.size, increasing=True)
+        num = powers @ self._num.T
+        den = powers @ self._den.T
+        chosen = np.zeros(w.size, dtype=int)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            vals = num / den
+            best_jump = np.full(w.size, np.inf)
+            prev = np.full(w.size, self.coeffs[0], dtype=complex)
+            for k in range(1, vals.shape[1]):
+                finite = np.isfinite(vals[:, k])
+                jump = np.abs(vals[:, k] - prev)
+                take = finite & (jump <= best_jump)
+                chosen[take] = k
+                best_jump[take] = jump[take]
+                prev = np.where(finite, vals[:, k], prev)
+        rows = np.arange(w.size)
+        return w, u, powers, chosen, vals[rows, chosen], den[rows, chosen]
+
+    def evaluate(self, z, branch="secondary"):
+        w, _, _, _, r, _ = self._chosen(z, branch)
+        out = (-np.pi * w * r).reshape(np.shape(z))
+        return out if out.ndim else complex(out)
 
     def derivative(self, z, branch="secondary"):
-        z = np.asarray(z, dtype=complex)
-        h = 1e-6 * (1.0 + np.abs(z))
-        out = (self.evaluate(z + h, branch) - self.evaluate(z - h, branch)) / (2.0 * h)
-        return out if np.ndim(out) else complex(out)
+        """dm/dz = -pi (R + w R') w / (w - u) * 2 / (hi - lo) for the chosen approximant R."""
+        w, u, powers, chosen, r, den = self._chosen(z, branch)
+        dnum = np.einsum("ij,ij->i", powers[:, :-1], self._dnum[chosen])
+        dden = np.einsum("ij,ij->i", powers[:, :-1], self._dden[chosen])
+        dr = (dnum - r * dden) / den
+        lo, hi = self.support
+        out = -np.pi * (r + w * dr) * w / (w - u) * (2.0 / (hi - lo))
+        out = out.reshape(np.shape(z))
+        return out if out.ndim else complex(out)
 
     def density(self, x):
         return self.model.density(x)
@@ -222,6 +200,11 @@ class LawEvaluator:
     def __init__(self, law):
         self.law = law
         self.support = law.support
+        # Every law here is free Meixner with c = p_1 + 2.  Decompression
+        # runs the flow c' = c / (c + r (1 - c)), which has its pole at
+        # r = c / (c - 1) when c > 1; beyond it no probability law exists.
+        c = float(law.p[1]) + 2.0
+        self.max_ratio = c / (c - 1.0) if c > 1.0 else np.inf
 
     def evaluate(self, z, branch="secondary"):
         return ensembles.law_stieltjes(self.law, z, branch)
@@ -330,6 +313,7 @@ class LanczosEvaluator:
     """
 
     method = "lanczos"
+    max_ratio = np.inf
 
     def __init__(self, a, p, seed=None, start=None, reorthogonalize=True):
         alphas, betas, p_eff = lanczos_tridiagonal(

@@ -85,6 +85,9 @@ def test_fit_and_decompress_roundtrip(tmp_path, capsys):
     assert diag["degraded_points"] == 0
     assert diag["ratio"] == 1.0
     assert diag["k_eff"] == model.meta["k_eff"]
+    # a fit with no exactly zero kept coefficient gets every [k/k] up to its order
+    n_coeffs = np.flatnonzero(model.psi)[-1] + 1
+    assert (diag["pade_approximants"], diag["pade_breakdown"]) == ((n_coeffs - 1) // 2, False)
     assert (diag["repaired"], diag["repair_warning"], diag["degenerate_support"]) == (
         model.repaired, model.repair_warning, model.degenerate_support)
 

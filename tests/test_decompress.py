@@ -10,6 +10,7 @@ from freedec import (
     NumericalError,
     chebyshev_coefficients_from_grid,
     decompress_density,
+    kesten_mckay_law,
     law_density,
     make_rng,
     marchenko_pastur_law,
@@ -18,6 +19,7 @@ from freedec import (
     total_variation,
     track_support,
     verify_crossing,
+    wachter_law,
     wigner_law,
 )
 
@@ -155,10 +157,27 @@ def test_ratio_from_orders():
     assert req.resolved_ratio() == 4.0
 
 
+def test_meixner_class_decompression_domain():
+    # Kesten-McKay(d) and Wachter(a, b) are free Meixner laws with
+    # c = d / (d - 1) and (a + b) / (a + b - 1) > 1: the flow's pole sits at
+    # ratio c / (c - 1), i.e. d and a + b, and no law answers ratios beyond it.
+    for law, limit in ((kesten_mckay_law(4), 4.0), (wachter_law(2.5, 1.5625), 4.0625)):
+        ev = LawEvaluator(law)
+        assert ev.max_ratio == pytest.approx(limit, rel=1e-12)
+        with pytest.raises(InputError, match="domain"):
+            decompress_density(DecompressionRequest(evaluator=ev, ratio=8.0))
+        result = decompress_density(DecompressionRequest(evaluator=ev, ratio=2.0))
+        assert not result.failed.any()
+        assert result.mass() == pytest.approx(1.0, abs=1e-2)
+    for law in (marchenko_pastur_law(0.5), wigner_law(2.0), meixner_law(0.1, 4.0, 0.6)):
+        assert LawEvaluator(law).max_ratio == np.inf
+
+
 def test_corrupted_model_aborts_with_diagnostics():
     class BrokenEvaluator:
         # a vanishing field makes the characteristic equation unsolvable
         support = (0.0, 1.0)
+        max_ratio = np.inf
 
         def evaluate(self, z, branch="secondary"):
             return np.full(np.shape(z), 1e-20 + 0j)

@@ -19,7 +19,6 @@ from freedec import (
     law_stieltjes,
     make_rng,
     marchenko_pastur_law,
-    wynn_epsilon,
 )
 
 
@@ -81,35 +80,56 @@ def test_chebyshev_weight_transform_identity():
 
 
 # ---------------------------------------------------------------------------
-# Wynn epsilon
+# diagonal Pade approximants
 
 
-def test_wynn_geometric_beyond_radius():
-    assert abs(wynn_epsilon(np.ones(10), 2.0) - (-1.0)) <= 1e-10
+def _series_evaluator(coeffs):
+    model = DensityModel(support=(-1.0, 1.0), basis="chebyshev-u", psi=np.asarray(coeffs, float))
+    return ChebyshevPadeEvaluator(model)
 
 
-def test_wynn_constant_series():
-    assert wynn_epsilon([5.0, 0.0], 123.0) == pytest.approx(5.0)
+def _series_at(ev, w):
+    # S(w) = sum c_k w^k as the evaluator continues it: on (-1, 1), m = -pi w S(w)
+    # with w = J(z), and the second sheet below the axis reaches |w| > 1.
+    return ev.evaluate(joukowski(w), "secondary") / (-np.pi * w)
 
 
-def test_wynn_two_pole_rational():
+_W2 = 2.0 - 1e-12j  # w = 2, nudged below the axis onto the second sheet
+
+
+def test_pade_geometric_beyond_radius():
+    ev = _series_evaluator(np.ones(10))
+    assert (ev.approximant_count, ev.breakdown) == (4, False)
+    assert abs(_series_at(ev, _W2) - (-1.0)) <= 1e-10
+
+
+def test_pade_constant_series():
+    ev = _series_evaluator([5.0, 0.0])
+    assert _series_at(ev, 123.0 - 1e-9j) == pytest.approx(5.0)
+
+
+def test_pade_two_pole_rational():
     k = np.arange(12)
-    coeffs = 1.5 - 0.5 * (1.0 / 3.0) ** k  # 1/((1-z)(1-z/3))
+    ev = _series_evaluator(1.5 - 0.5 * (1.0 / 3.0) ** k)  # 1/((1-w)(1-w/3))
     want = 1.0 / ((1 - 2.0) * (1 - 2.0 / 3.0))
-    assert abs(wynn_epsilon(coeffs, 2.0) - want) <= 1e-8
+    assert abs(_series_at(ev, _W2) - want) <= 1e-8
 
 
-def test_wynn_vectorized_matches_scalar():
-    coeffs = 0.7 ** np.arange(15)
-    zs = np.array([0.2 + 0.1j, 1.7 - 0.3j, -2.4 + 0.0j])
-    vec = wynn_epsilon(coeffs, zs)
-    for i, z in enumerate(zs):
-        assert abs(vec[i] - wynn_epsilon(coeffs, complex(z))) <= 1e-12
+def test_pade_vectorized_matches_scalar():
+    ev = _series_evaluator(0.7 ** np.arange(15))
+    zs = np.array([0.2 + 0.1j, 1.7 - 0.3j, -2.4 + 0.0j, 0.3 - 0.6j])
+    for branch in ("principal", "secondary"):
+        for method in (ev.evaluate, ev.derivative):
+            vec = method(zs, branch)
+            for i, z in enumerate(zs):
+                assert abs(vec[i] - method(complex(z), branch)) <= 1e-12 * abs(vec[i])
 
 
-def test_wynn_breakdown_flag():
-    _, _, broke = wynn_epsilon(np.array([1.0, 0.0, 0.0, 0.0]), 0.5, return_info=True)
-    assert broke  # exact constant series trips the guard immediately
+def test_pade_zero_coefficient_breakdown():
+    # c_1 = 0 leaves no approximant: the plain partial sum is returned
+    ev = _series_evaluator([1.0, 0.0, 2.0, 3.0])
+    assert (ev.approximant_count, ev.breakdown) == (0, True)
+    assert _series_at(ev, _W2) == pytest.approx(1.0 + 2.0 * _W2**2 + 3.0 * _W2**3, rel=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +187,20 @@ def test_pade_tail_and_schwarz_and_herglotz():
     m = ev.evaluate(z, "principal")
     assert np.min(m.imag) > 0
     assert np.max(np.abs(ev.evaluate(np.conj(z), "principal") - np.conj(m))) <= 1e-12
+
+
+def test_pade_derivative_matches_central_difference():
+    model, _ = _mp_model()
+    ev = ChebyshevPadeEvaluator(model)
+    lo, hi = model.support
+    rng = make_rng(9)
+    x = rng.uniform(lo - 0.2, hi + 0.2, 12)
+    y = rng.uniform(0.05, 1.0, 12) * (hi - lo)
+    z = np.concatenate([x + 1j * y, x - 1j * y])
+    h = 1e-6
+    for branch in ("principal", "secondary"):
+        fd = (ev.evaluate(z + h, branch) - ev.evaluate(z - h, branch)) / (2 * h)
+        assert np.max(np.abs(ev.derivative(z, branch) - fd)) <= 1e-7
 
 
 def test_pade_plemelj_recovery():
