@@ -32,6 +32,7 @@ __all__ = [
 
 _AUTO_GRID = 1000
 _MARGIN = 0.2
+_EDGE_LEVELS = 3  # bisection levels per batched round of the support-edge search
 
 
 @dataclass(frozen=True)
@@ -99,7 +100,8 @@ def _newton(evaluator, targets, t, z0, tol, max_iter):
     and forth across the secondary branch's jump line when a root sits close
     to the real axis outside the source support.  Converged and stalled
     points drop out of the working set; each reports the iteration at which
-    it left.
+    it left.  Points never interact, so for an elementwise evaluator a
+    batched call gives each point what solving it alone would.
     """
     a = np.exp(t) - 1.0
     targets = np.asarray(targets, dtype=complex)
@@ -383,13 +385,14 @@ def decompress_density(request):
 
 
 def track_support(evaluator, t, delta=None, tol=1e-12, threshold_ratio=1e-4):
-    """Support interval of the decompressed density by edge bisection.
+    """Support interval of the decompressed density by a batched edge search.
 
-    Brackets from the source support scaled about its center by e^t, with
-    up to 10 doublings if the density has not decayed below threshold at
-    the bracket ends.  The default imaginary offset here is much smaller
-    than the density-evaluation default: the threshold crossing would
-    otherwise sit on the offset's Poisson tail instead of the edge.
+    A 97-point probe spans the source support scaled about its center by
+    e^t, doubled up to 10 times until the density decays below threshold at
+    both ends; then both edges are refined together by 30 bisection levels
+    (2^-30 of the probe spacing).  The default imaginary offset here is much
+    smaller than the density-evaluation default: the threshold crossing
+    would otherwise sit on the offset's Poisson tail instead of the edge.
     """
     if t < 0:
         raise InputError("decompression scale t must be >= 0")
@@ -424,25 +427,29 @@ def track_support(evaluator, t, delta=None, tol=1e-12, threshold_ratio=1e-4):
         while last < len(above) - 1 and above[last + 1]:
             last += 1
 
-        def bisect(x_out, x_in, z_warm):
-            # Warm-started solves: the root moves little between nearby
-            # abscissae, so plain Newton from the neighbour root suffices;
-            # a rare unconverged step counts as below threshold.
-            for _ in range(30):
-                mid = 0.5 * (x_out + x_in)
-                zm, _, _, ok = _newton(
-                    evaluator, np.array([mid + 1j * delta]), t, np.array([z_warm]), tol, 60
-                )
-                val = _density_from_roots(evaluator, zm, t)[0] if ok[0] else 0.0
-                if val > thresh:
-                    x_in = mid
-                    z_warm = zm[0]
-                else:
-                    x_out = mid
-            return 0.5 * (x_out + x_in)
-
-        left = bisect(probe[first - 1], probe[first], roots[first])
-        right = bisect(probe[last + 1], probe[last], roots[last])
+        # Both edges at once: each round solves the 2^b - 1 interior dyadic
+        # points (b = _EDGE_LEVELS) of both brackets [outside, inside] in one
+        # Newton call, warm-started from the bracket's inside root (the root
+        # moves little between nearby abscissae), then walks the b-level
+        # bisection path through them; 30 levels in all.  A point is inside
+        # only when it converged above threshold, else it reads as below.
+        ends = np.array([[probe[first - 1], probe[first]], [probe[last + 1], probe[last]]])
+        z_in = roots[[first, last]]
+        frac = np.arange(2**_EDGE_LEVELS + 1) / 2**_EDGE_LEVELS
+        edge = np.arange(2)
+        for _ in range(30 // _EDGE_LEVELS):
+            xs = (1.0 - frac) * ends[:, :1] + frac * ends[:, 1:]
+            zm, _, _, ok = _newton(evaluator, xs[:, 1:-1].ravel() + 1j * delta, t,
+                                   np.repeat(z_in, frac.size - 2), tol, 60)
+            inside = (ok & (_density_from_roots(evaluator, zm, t) > thresh)).reshape(2, -1)
+            zs = np.column_stack([zm.reshape(2, -1), z_in])
+            out, inn = np.zeros(2, dtype=int), np.full(2, frac.size - 1)
+            for _ in range(_EDGE_LEVELS):
+                mid = (out + inn) // 2
+                hit = inside[edge, mid - 1]
+                out, inn = np.where(hit, out, mid), np.where(hit, mid, inn)
+            ends, z_in = np.column_stack([xs[edge, out], xs[edge, inn]]), zs[edge, inn - 1]
+        left, right = 0.5 * (ends[:, 0] + ends[:, 1])
         return (float(left), float(right))
     raise NumericalError("support tracking failed: no density decay inside the bracket")
 

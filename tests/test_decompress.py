@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import freedec.decompress as dc
 from freedec import (
     ChebyshevPadeEvaluator,
     DecompressionRequest,
@@ -216,6 +217,71 @@ def test_semigroup_composition():
 
 # ---------------------------------------------------------------------------
 # support tracking
+
+
+def test_batched_newton_matches_single_point_solves():
+    # The support-edge search solves unrelated points in one call; each must
+    # get exactly what solving it alone would, converged or not.
+    ev = LawEvaluator(marchenko_pastur_law(1 / 50))
+    t = np.log(8.0)  # MP(8/50): support (0.36, 1.96)
+    x = np.array([0.05, 0.2, 0.34, 0.36, 0.37, 0.5, 1.0, 1.5, 1.9, 1.96, 1.97, 2.2, 3.0])
+    targets = x + 1j * 1e-4 * dc._default_delta(ev)
+    for z0 in (targets, np.full(x.size, 1.0 - 0.5j)):
+        batch = dc._newton(ev, targets, t, z0, 1e-12, 60)
+        assert batch[3].any() and not batch[3].all()
+        for k in range(x.size):
+            alone = dc._newton(ev, targets[k : k + 1], t, z0[k : k + 1], 1e-12, 60)
+            for got, want in zip(batch, alone):
+                assert got[k] == want[0]
+
+
+def test_track_support_edge_search_batched(monkeypatch):
+    # Count the Newton calls outside the probe's continuation solves: those
+    # are the edge search's.
+    calls, in_probe = [], [False]
+    newton, solve_targets = dc._newton, dc._solve_targets
+
+    def counting_newton(*args):
+        if not in_probe[0]:
+            calls.append(len(args[1]))
+        return newton(*args)
+
+    def flagged_solve_targets(*args):
+        in_probe[0] = True
+        try:
+            return solve_targets(*args)
+        finally:
+            in_probe[0] = False
+
+    monkeypatch.setattr(dc, "_newton", counting_newton)
+    monkeypatch.setattr(dc, "_solve_targets", flagged_solve_targets)
+    track_support(LawEvaluator(marchenko_pastur_law(1 / 50)), np.log(32.0))
+    assert 0 < len(calls) <= 10
+
+
+def test_track_support_closed_form_edges():
+    # Worst case measured: 9.1e-7 of the width (MP x32 lower edge).
+    mp = [(marchenko_pastur_law(1 / 50), r, marchenko_pastur_law(r / 50).support) for r in (2, 8, 32)]
+    sc = [(wigner_law(2.0), r, wigner_law(2.0 * np.sqrt(r)).support) for r in (2, 32)]
+    km = [(kesten_mckay_law(4), 2, (-4.0, 4.0))]  # x2 is the arcsine law on (-4, 4)
+    for law, ratio, (lo, hi) in mp + sc + km:
+        tracked = track_support(LawEvaluator(law), np.log(ratio))
+        assert np.max(np.abs(np.subtract(tracked, (lo, hi)))) <= 1e-5 * (hi - lo)
+
+
+def test_track_support_no_decay_raises():
+    class FlatEvaluator:
+        # m = i everywhere: the decompressed density never decays
+        support = (0.0, 1.0)
+
+        def evaluate(self, z, branch="secondary"):
+            return np.full(np.shape(z), 1j)
+
+        def derivative(self, z, branch="secondary"):
+            return np.zeros(np.shape(z), dtype=complex)
+
+    with pytest.raises(NumericalError, match="no density decay"):
+        track_support(FlatEvaluator(), np.log(2.0))
 
 
 def test_track_support_identity():
