@@ -33,6 +33,7 @@ __all__ = [
 _AUTO_GRID = 1000
 _MARGIN = 0.2
 _EDGE_LEVELS = 3  # bisection levels per batched round of the support-edge search
+_HALVINGS = 0.5 ** np.arange(1, 5)  # line-search step factors tried after a rejected step
 
 
 @dataclass(frozen=True)
@@ -80,8 +81,8 @@ class DecompressionResult:
     degraded: np.ndarray = field(repr=False, default=None)
 
     def mass(self):
-        good = ~self.failed
-        return float(np.trapezoid(self.density[good], self.grid[good]))
+        # a failed point counts as zero density, never bridged by its neighbours
+        return float(np.trapezoid(np.where(self.failed, 0.0, self.density), self.grid))
 
 
 def _default_delta(evaluator):
@@ -94,14 +95,16 @@ def _newton(evaluator, targets, t, z0, tol, max_iter):
     """Vectorized damped Newton/secant solve of z - (e^t - 1)/m(z) = target.
 
     The first derivative comes from the evaluator; afterwards the difference
-    quotient of successive residuals is used, so each iteration costs one
-    field evaluation.  Steps that fail to reduce the residual are halved a
-    few times before being accepted, which keeps iterates from leaping back
-    and forth across the secondary branch's jump line when a root sits close
-    to the real axis outside the source support.  Converged and stalled
-    points drop out of the working set; each reports the iteration at which
-    it left.  Points never interact, so for an elementwise evaluator a
-    batched call gives each point what solving it alone would.
+    quotient of successive residuals is used.  A step that raises the
+    residual is replaced by the first of its halvings 1/2 ... 1/16 that does
+    not (else by the last), which keeps iterates from leaping back and forth
+    across the secondary branch's jump line when a root sits close to the
+    real axis outside the source support.  The halvings of all rejected
+    steps are evaluated in one call, so an iteration costs two field
+    evaluations at most.  Converged and stalled points drop out of the
+    working set; each reports the iteration at which it left.  Points never
+    interact, so for an elementwise evaluator a batched call gives each
+    point what solving it alone would.
     """
     a = np.exp(t) - 1.0
     targets = np.asarray(targets, dtype=complex)
@@ -156,13 +159,14 @@ def _newton(evaluator, targets, t, z0, tol, max_iter):
         step = np.where(mag > max_step, step * (max_step / np.maximum(mag, 1e-300)), step)
         z_new = z - step
         f_new, _ = fval(z_new, tg)
-        for _ in range(4):
-            worse = np.abs(f_new) > absf
-            if not worse.any():
-                break
-            step = np.where(worse, 0.5 * step, step)
-            z_new = z - step
-            f_new, _ = fval(z_new, tg)
+        worse = np.abs(f_new) > absf
+        if worse.any():
+            zh = z[worse, None] - step[worse, None] * _HALVINGS
+            fh = fval(zh.ravel(), np.repeat(tg[worse], _HALVINGS.size))[0].reshape(zh.shape)
+            ok = np.abs(fh) <= absf[worse, None]
+            ok[:, -1] = True  # no halving helps: keep the smallest step
+            pick = (np.arange(zh.shape[0]), ok.argmax(1))
+            z_new[worse], f_new[worse] = zh[pick], fh[pick]
         dz = z_new - z
         dz = np.where(np.abs(dz) < 1e-300, 1e-300, dz)
         fp = (f_new - f) / dz

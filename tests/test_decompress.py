@@ -74,6 +74,128 @@ def test_negative_time_rejected():
         solve_characteristic(ev, 0.0, -0.5)
 
 
+def _sequential_newton(evaluator, targets, t, z0, tol, max_iter):
+    """Reference: ``_newton`` with a rejected step halved and re-evaluated in
+    turn, the whole active set at each halving, up to four times."""
+    a = np.exp(t) - 1.0
+    targets = np.asarray(targets, dtype=complex)
+    z_full = np.array(z0, dtype=complex)
+    n = z_full.size
+    resid_full = np.full(n, np.inf)
+    iters_full = np.full(n, max_iter, dtype=int)
+    lo, hi = evaluator.support
+    max_step = 0.5 * max(hi - lo, 1.0) * max(np.exp(t / 2.0), 1.0)
+
+    def fval(zz, tg):
+        m = np.asarray(evaluator.evaluate(zz, "secondary"), dtype=complex)
+        m = np.where((np.abs(m) < 1e-13) | ~np.isfinite(m), 1e-13, m)
+        return zz - a / m - tg, m
+
+    act, z, tg = np.arange(n), z_full.copy(), targets.copy()
+    f, m = fval(z, tg)
+    dm = np.asarray(evaluator.derivative(z, "secondary"), dtype=complex)
+    fp = 1.0 + a * dm / (m * m)
+    best_absf, stall = np.abs(f), np.zeros(n, dtype=int)
+    for it in range(max_iter):
+        absf = np.abs(f)
+        improved = absf < 0.999 * best_absf
+        best_absf = np.where(improved, absf, best_absf)
+        stall = np.where(improved, 0, stall + 1)
+        done = absf <= tol * (1.0 + np.abs(tg))
+        out = done | (stall > 15)
+        z_full[act[out]], resid_full[act[out]], iters_full[act[out]] = z[out], absf[out], it
+        keep = ~out
+        act, z, tg, f, fp = act[keep], z[keep], tg[keep], f[keep], fp[keep]
+        best_absf, stall, absf = best_absf[keep], stall[keep], absf[keep]
+        if act.size == 0:
+            break
+        fp = np.where((np.abs(fp) < 1e-13) | ~np.isfinite(fp), 1e-13, fp)
+        step = f / fp
+        mag = np.abs(step)
+        step = np.where(mag > max_step, step * (max_step / np.maximum(mag, 1e-300)), step)
+        z_new = z - step
+        f_new, _ = fval(z_new, tg)
+        for _ in range(4):
+            worse = np.abs(f_new) > absf
+            if not worse.any():
+                break
+            step = np.where(worse, 0.5 * step, step)
+            z_new = z - step
+            f_new, _ = fval(z_new, tg)
+        dz = z_new - z
+        dz = np.where(np.abs(dz) < 1e-300, 1e-300, dz)
+        fp = (f_new - f) / dz
+        z, f = z_new, f_new
+    if act.size:
+        z_full[act] = z
+        resid_full[act] = np.abs(f)
+    conv = resid_full <= tol * (1.0 + np.abs(targets))
+    return z_full, resid_full, iters_full, conv
+
+
+def _grid_start(law, ratio, n=400):
+    # targets over the decompressed range and its margins, started at the
+    # targets themselves: the solve's first stage, where backtracking is
+    # frequent
+    lo, hi = law.support
+    half = 0.6 * (hi - lo) * ratio
+    x = np.linspace(0.5 * (lo + hi) - half, 0.5 * (lo + hi) + half, n)
+    targets = x + 1j * 1e-3 * (hi - lo)
+    return targets, np.log(ratio), targets.copy()
+
+
+def test_batched_line_search_matches_sequential_halving():
+    for law, ratio in ((meixner_law(0.1, 4.0, 0.6), 8.0), (marchenko_pastur_law(1 / 50), 32.0)):
+        ev = LawEvaluator(law)
+        targets, t, z0 = _grid_start(law, ratio)
+        got = dc._newton(ev, targets, t, z0, 1e-12, 200)
+        want = _sequential_newton(ev, targets, t, z0, 1e-12, 200)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+    law = marchenko_pastur_law(1 / 50)
+    ev = ChebyshevPadeEvaluator(_exact_model(law, k_max=20))
+    targets, t, z0 = _grid_start(law, 32.0)
+    z, r, i, c = dc._newton(ev, targets, t, z0, 1e-12, 200)
+    z_ref, r_ref, i_ref, c_ref = _sequential_newton(ev, targets, t, z0, 1e-12, 200)
+    assert np.array_equal(c, c_ref) and np.array_equal(i, i_ref)
+    assert np.max(np.abs(z - z_ref)) <= 1e-13
+
+
+def test_newton_two_evaluations_per_iteration():
+    class Counting(LawEvaluator):
+        calls = {"evaluate": 0, "derivative": 0}
+
+        def evaluate(self, z, branch="secondary"):
+            self.calls["evaluate"] += 1
+            return super().evaluate(z, branch)
+
+        def derivative(self, z, branch="secondary"):
+            self.calls["derivative"] += 1
+            return super().derivative(z, branch)
+
+    law = meixner_law(0.1, 4.0, 0.6)
+    ev = Counting(law)
+    targets, t, z0 = _grid_start(law, 8.0)
+    _, _, iters, _ = dc._newton(ev, targets, t, z0, 1e-12, 200)
+    assert ev.calls["derivative"] <= 1
+    assert ev.calls["evaluate"] <= 2 * iters.max() + 1
+
+
+def test_mass_counts_failed_points_as_zero():
+    grid = np.linspace(0.0, 1.0, 11)
+    density = np.ones_like(grid)
+    failed = np.zeros(grid.size, dtype=bool)
+    failed[4:7] = True  # a run of failures inside the support
+    density[failed] = np.nan
+    zeros = np.zeros(grid.size)
+    res = dc.DecompressionResult(grid, density, (0.0, 1.0), 2.0, 1e-3, grid + 0j, zeros,
+                                 zeros.astype(int), failed, np.zeros(grid.size, dtype=bool))
+    bridged = np.trapezoid(density[~failed], grid[~failed])  # 1.0
+    assert res.mass() == pytest.approx(np.trapezoid(np.where(failed, 0.0, density), grid))
+    assert res.mass() == pytest.approx(0.7)
+    assert res.mass() < bridged
+
+
 # ---------------------------------------------------------------------------
 # densities
 
