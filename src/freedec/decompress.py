@@ -78,7 +78,7 @@ class DecompressionResult:
     residuals: np.ndarray
     iterations: np.ndarray
     failed: np.ndarray
-    degraded: np.ndarray = field(repr=False, default=None)
+    degraded: np.ndarray = field(repr=False)
 
     def mass(self):
         # a failed point counts as zero density, never bridged by its neighbours
@@ -225,25 +225,19 @@ def _reseed(evaluator, targets, t, z, resid, iters, conv, tol, max_iter):
             progress |= bool(c2.any())
 
 
-def _take_better(idx, z2, r2, i2, c2, z, resid, iters, conv):
-    """Keep a retry's root at ``idx`` where it converged or lowered the residual."""
-    improve = c2 | (r2 < resid[idx])
-    take = idx[improve]
-    z[take], resid[take], iters[take] = z2[improve], r2[improve], i2[improve]
-    conv[idx] |= c2
-
-
 def _solve_targets(evaluator, targets, t, tol, max_iter):
     """Continuation in t from the degenerate start z = target.
 
     The root moves continuously in t, so a few loosely converged substeps
     with warm starts carry it to the final scale even though the final
     equation is far from its start; points a substep leaves unconverged are
-    re-seeded from converged neighbours, or else restart from the target.
-    Points the final solve leaves unconverged get, in turn, a retry from a
-    start pushed below the target, a finer continuation, and a re-seed from
-    converged neighbours.  ``iterations`` counts the Newton iterations of the
-    solve that produced each returned root.
+    re-seeded from converged neighbours, or else go on from their last
+    iterate.  Points the final solve leaves unconverged get, in turn, a
+    retry from a start pushed below the target (kept where it converged or
+    lowered the residual) and a re-seed from converged neighbours;
+    ``decompress_density`` re-solves what is still unusable at imaginary
+    offsets lifted x10 and x100.  ``iterations`` counts the Newton
+    iterations of the solve that produced each returned root.
     """
     targets = np.asarray(targets, dtype=complex)
     substeps = max(2, int(np.ceil(t / 0.9)))
@@ -253,22 +247,15 @@ def _solve_targets(evaluator, targets, t, tol, max_iter):
         tj = t * j / substeps
         z, resid, iters, conv = _newton(evaluator, targets, tj, z, tol_sub, 40)
         _reseed(evaluator, targets, tj, z, resid, iters, conv, tol_sub, 40)
-        z = np.where(conv, z, targets)
     z, resid, iters, conv = _newton(evaluator, targets, t, z, tol, max_iter)
     if not conv.all():
         lo, hi = evaluator.support
-        idx_bad = np.where(~conv)[0]
-        retry = targets[idx_bad] - 1j * 0.1 * (hi - lo)
-        z2, r2, i2, c2 = _newton(evaluator, targets[idx_bad], t, retry, tol, max_iter)
-        _take_better(idx_bad, z2, r2, i2, c2, z, resid, iters, conv)
-    if not conv.all():
-        # Finer continuation for whatever is left.
-        idx_bad = np.where(~conv)[0]
-        zc = targets[idx_bad].copy()
-        for j in range(1, 7):
-            zc, _, _, _ = _newton(evaluator, targets[idx_bad], t * j / 6, zc, tol_sub, 30)
-        z2, r2, i2, c2 = _newton(evaluator, targets[idx_bad], t, zc, tol, max_iter)
-        _take_better(idx_bad, z2, r2, i2, c2, z, resid, iters, conv)
+        idx = np.where(~conv)[0]
+        retry = targets[idx] - 1j * 0.1 * (hi - lo)
+        z2, r2, i2, c2 = _newton(evaluator, targets[idx], t, retry, tol, max_iter)
+        take = c2 | (r2 < resid[idx])
+        z[idx[take]], resid[idx[take]], iters[idx[take]] = z2[take], r2[take], i2[take]
+        conv[idx] = c2
     _reseed(evaluator, targets, t, z, resid, iters, conv, tol, max_iter)
     return z, resid, iters, conv
 
@@ -327,32 +314,31 @@ def decompress_density(request):
         )
         return result
 
-    targets = grid + 1j * delta
-    z, resid, iters, conv = _solve_targets(evaluator, targets, t, request.tol, request.max_iter)
-    # Newton stagnation at a residual far below any density error scale is
-    # usable; only genuinely unresolved points count as failures.
-    degraded = ~conv & (resid <= 1e-6 * (1.0 + np.abs(grid)))
-    usable = conv | degraded
-    raw = np.where(usable, _density_from_roots(evaluator, z, t), np.nan)
-    for lift in (10.0, 100.0):
-        if usable.all():
-            break
-        # Roots pinned against the continued branch's jump line outside the
-        # source support resist the nominal offset; lifting delta moves them
-        # off the line.  The extra smoothing is immaterial where it happens.
+    z = np.empty(grid.size, dtype=complex)
+    resid = np.empty(grid.size)
+    iters = np.empty(grid.size, dtype=int)
+    usable = np.zeros(grid.size, dtype=bool)
+    degraded = np.zeros(grid.size, dtype=bool)
+    for lift in (1.0, 10.0, 100.0):
+        # The lifts are for roots pinned against the continued branch's jump
+        # line outside the source support, which resist the nominal offset;
+        # lifting delta moves them off the line.  The extra smoothing is
+        # immaterial where it happens.
         idx = np.where(~usable)[0]
+        if idx.size == 0:
+            break
         z2, r2, i2, c2 = _solve_targets(
             evaluator, grid[idx] + 1j * lift * delta, t, request.tol, request.max_iter
         )
-        lifted = c2 | (r2 <= 1e-6 * (1.0 + np.abs(grid[idx])))
-        take = idx[lifted]
-        z[take] = z2[lifted]
-        resid[take] = r2[lifted]
-        iters[take] = i2[lifted]
-        raw[take] = _density_from_roots(evaluator, z2[lifted], t)
-        degraded[take] = True
-        usable[take] = True
+        # Newton stagnation at a residual far below any density error scale is
+        # usable; only genuinely unresolved points count as failures.
+        ok = c2 | (r2 <= 1e-6 * (1.0 + np.abs(grid[idx])))
+        take = ok | (lift == 1.0)  # a failed point keeps its nominal-offset root
+        z[idx[take]], resid[idx[take]], iters[idx[take]] = z2[take], r2[take], i2[take]
+        usable[idx[ok]] = True
+        degraded[idx[ok]] = (lift > 1.0) | ~c2[ok]
     failed = ~usable
+    raw = np.where(usable, _density_from_roots(evaluator, z, t), np.nan)
     if support_est is not None:
         in_support = (grid >= support_est[0]) & (grid <= support_est[1])
     else:

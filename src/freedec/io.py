@@ -23,7 +23,6 @@ __all__ = [
     "load_model",
     "save_density_csv",
     "load_density_csv",
-    "law_descriptor",
     "atomic_write",
 ]
 
@@ -121,16 +120,3 @@ def load_density_csv(path):
     if np.any(density < 0):
         raise InputError("density CSV values must be nonnegative")
     return x, density
-
-
-def law_descriptor(law):
-    """JSON-ready descriptor of a closed-form law."""
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "name": law.name,
-        "params": law.params,
-        "support": [law.support[0], law.support[1]],
-        "p": list(map(float, law.p)),
-        "q": list(map(float, law.q)),
-        "atoms": [[loc, mass] for loc, mass in law.atoms],
-    }

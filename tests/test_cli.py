@@ -186,14 +186,3 @@ def test_density_csv_validation(tmp_path):
     path.write_text("x,density\n1.0,0.5\n0.5,0.5\n")
     with pytest.raises(Exception):
         load_density_csv(path)
-
-
-def test_law_descriptor_serializable():
-    from freedec import marchenko_pastur_law
-    from freedec.io import law_descriptor
-
-    doc = json.loads(json.dumps(law_descriptor(marchenko_pastur_law(2.0))))
-    assert doc["schema_version"] == 1
-    assert doc["name"] == "mp"
-    assert doc["support"][0] < doc["support"][1]
-    assert doc["atoms"][0][1] == pytest.approx(0.5, abs=1e-6)
