@@ -16,7 +16,6 @@ from .decompress import (
     DecompressionRequest,
     DecompressionResult,
     decompress_density,
-    solve_characteristic,
     track_support,
     verify_crossing,
 )
@@ -32,6 +31,7 @@ from .density_fit import (
 from .ensembles import (
     EnsembleDraw,
     EnsembleLaw,
+    decompressed_law,
     draw_ensemble,
     kesten_mckay_law,
     law_cdf,

@@ -10,6 +10,12 @@ for the initial label z_x (Newton, continued in t), after which the density
 estimate is (1/pi) Im m0(z_x) e^{-t}.  The root descends through the support
 cut for moderate t, which is why m0 must be supplied on the secondary
 (continued) branch.
+
+Closed-form laws are decompressed in closed form: their decompressed law
+satisfies a quadratic of the same kind as the source's
+(``ensembles.decompressed_law``), which gives the density, the support and
+the roots without iteration.  The Newton solve and the support search
+serve fitted models.
 """
 
 from __future__ import annotations
@@ -18,13 +24,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .ensembles import law_stieltjes
 from .errors import InputError, NumericalError
 
 __all__ = [
     "DecompressionRequest",
     "DecompressionResult",
     "CrossingReport",
-    "solve_characteristic",
     "decompress_density",
     "track_support",
     "verify_crossing",
@@ -178,27 +184,6 @@ def _newton(evaluator, targets, t, z0, tol, max_iter):
     return z_full, resid_full, iters_full, conv
 
 
-def solve_characteristic(evaluator, x, t, delta=None, tol=1e-12, max_iter=200):
-    """Characteristic root z_x for a single real abscissa ``x``.
-
-    Returns ``(z_x, info)`` where ``info`` carries the residual, iteration
-    count and convergence flag.  At t = 0 the equation degenerates and the
-    root is x + i delta exactly.
-    """
-    if t < 0:
-        raise InputError("decompression scale t must be >= 0")
-    if delta is None:
-        delta = _default_delta(evaluator)
-    target = complex(x, delta)
-    if t == 0:
-        return target, {"residual": 0.0, "iterations": 0, "converged": True}
-    z, resid, iters, conv = _solve_targets(evaluator, np.array([target]), t, tol, max_iter)
-    info = {"residual": float(resid[0]), "iterations": int(iters[0]), "converged": bool(conv[0])}
-    if not conv[0]:
-        info["flag"] = "newton-stagnation"
-    return complex(z[0]), info
-
-
 def _reseed(evaluator, targets, t, z, resid, iters, conv, tol, max_iter):
     """Re-solve unconverged points from their nearest converged neighbours.
 
@@ -235,10 +220,12 @@ def _solve_targets(evaluator, targets, t, tol, max_iter):
     iterate.  Points the final solve leaves unconverged get, in turn, a
     retry from a start pushed below the target (kept where it converged or
     lowered the residual) and a re-seed from converged neighbours;
-    ``decompress_density`` re-solves what is still unusable at imaginary
-    offsets lifted x10 and x100.  ``iterations`` counts the Newton
+    ``_newton_grid`` re-solves what is still unusable at imaginary offsets
+    lifted x10 and x100.  ``iterations`` counts the Newton
     iterations of the solve that produced each returned root.
     """
+    if t < 0:
+        raise InputError("decompression scale t must be >= 0")
     targets = np.asarray(targets, dtype=complex)
     substeps = max(2, int(np.ceil(t / 0.9)))
     z = targets.copy()
@@ -265,12 +252,64 @@ def _density_from_roots(evaluator, z, t):
     return m.imag / np.pi * np.exp(-t)
 
 
+def _usable(resid, conv, x):
+    # Newton stagnation at a residual far below any density error scale is
+    # usable; only genuinely unresolved points count as failures.
+    return conv | (resid <= 1e-6 * (1.0 + np.abs(x)))
+
+
+def _newton_grid(evaluator, grid, t, delta, tol, max_iter):
+    """Characteristic solve of every grid point: ``_solve_targets`` at the
+    nominal offset, then at offsets lifted x10 and x100 for what is still
+    unusable.  Returns the raw density, roots, residuals, iterations and
+    the failed and degraded flags."""
+    z = np.empty(grid.size, dtype=complex)
+    resid = np.empty(grid.size)
+    iters = np.empty(grid.size, dtype=int)
+    usable = np.zeros(grid.size, dtype=bool)
+    degraded = np.zeros(grid.size, dtype=bool)
+    for lift in (1.0, 10.0, 100.0):
+        # The lifts are for roots pinned against the continued branch's jump
+        # line outside the source support, which resist the nominal offset;
+        # lifting delta moves them off the line.  The extra smoothing is
+        # immaterial where it happens.
+        idx = np.where(~usable)[0]
+        if idx.size == 0:
+            break
+        z2, r2, i2, c2 = _solve_targets(evaluator, grid[idx] + 1j * lift * delta, t, tol, max_iter)
+        ok = _usable(r2, c2, grid[idx])
+        take = ok | (lift == 1.0)  # a failed point keeps its nominal-offset root
+        z[idx[take]], resid[idx[take]], iters[idx[take]] = z2[take], r2[take], i2[take]
+        usable[idx[ok]] = True
+        degraded[idx[ok]] = (lift > 1.0) | ~c2[ok]
+    raw = np.where(usable, _density_from_roots(evaluator, z, t), np.nan)
+    return raw, z, resid, iters, ~usable, degraded
+
+
+def _closed_form_grid(evaluator, law, grid, ratio, delta, tol):
+    """The decompressed law's principal transform m' at x + i delta, and the
+    characteristic roots it implies, z = x + i delta + (r - 1) / (r m'),
+    checked against the evaluator's own residual with the usable rule of
+    the Newton path.  No iteration, so none is degraded."""
+    targets = grid + 1j * delta
+    m = law_stieltjes(law, targets)
+    z = targets + (ratio - 1.0) / (ratio * m)
+    m0 = np.asarray(evaluator.evaluate(z, "secondary"), dtype=complex)
+    resid = np.abs(z - (ratio - 1.0) / m0 - targets)
+    failed = ~_usable(resid, resid <= tol * (1.0 + np.abs(targets)), grid)
+    zeros = np.zeros(grid.size, dtype=int)
+    return m.imag / np.pi, z, resid, zeros, failed, zeros.astype(bool)
+
+
 def decompress_density(request):
     """Run a full decompression and return the density on a grid.
 
     Ratio 1 reproduces the evaluator's own density exactly: the imaginary
     offset delta only exists to keep the t > 0 root finding away from the
-    real axis, and at t = 0 the Plemelj limit is available directly.
+    real axis, and at t = 0 the Plemelj limit is available directly.  An
+    evaluator with a ``decompressed(ratio)`` method (closed-form laws)
+    supplies the decompressed law itself, which replaces the support search
+    and the characteristic solve.
     """
     ratio = request.resolved_ratio()
     t = float(np.log(ratio))
@@ -283,9 +322,15 @@ def decompress_density(request):
     delta = request.delta if request.delta is not None else _default_delta(evaluator)
     if not 0 < delta < 1:
         raise InputError("imaginary offset delta must lie in (0, 1)")
+    # Looked up as an attribute, so wrappers that forward attributes keep it.
+    decompressed = getattr(evaluator, "decompressed", None)
+    law = decompressed(ratio) if t > 0 and decompressed is not None else None
 
     if isinstance(request.grid, str) and request.grid == "auto":
-        lo_t, hi_t = track_support(evaluator, t, tol=request.tol)
+        if law is not None:
+            lo_t, hi_t = law.support
+        else:
+            lo_t, hi_t = track_support(evaluator, t, tol=request.tol)
         pad = 0.5 * _MARGIN * (hi_t - lo_t)
         theta = np.pi * (np.arange(_AUTO_GRID) + 0.5) / _AUTO_GRID
         grid = 0.5 * (lo_t - pad + hi_t + pad) + 0.5 * (hi_t - lo_t + 2 * pad) * np.cos(theta)
@@ -314,31 +359,14 @@ def decompress_density(request):
         )
         return result
 
-    z = np.empty(grid.size, dtype=complex)
-    resid = np.empty(grid.size)
-    iters = np.empty(grid.size, dtype=int)
-    usable = np.zeros(grid.size, dtype=bool)
-    degraded = np.zeros(grid.size, dtype=bool)
-    for lift in (1.0, 10.0, 100.0):
-        # The lifts are for roots pinned against the continued branch's jump
-        # line outside the source support, which resist the nominal offset;
-        # lifting delta moves them off the line.  The extra smoothing is
-        # immaterial where it happens.
-        idx = np.where(~usable)[0]
-        if idx.size == 0:
-            break
-        z2, r2, i2, c2 = _solve_targets(
-            evaluator, grid[idx] + 1j * lift * delta, t, request.tol, request.max_iter
+    if law is not None:
+        raw, z, resid, iters, failed, degraded = _closed_form_grid(
+            evaluator, law, grid, ratio, delta, request.tol
         )
-        # Newton stagnation at a residual far below any density error scale is
-        # usable; only genuinely unresolved points count as failures.
-        ok = c2 | (r2 <= 1e-6 * (1.0 + np.abs(grid[idx])))
-        take = ok | (lift == 1.0)  # a failed point keeps its nominal-offset root
-        z[idx[take]], resid[idx[take]], iters[idx[take]] = z2[take], r2[take], i2[take]
-        usable[idx[ok]] = True
-        degraded[idx[ok]] = (lift > 1.0) | ~c2[ok]
-    failed = ~usable
-    raw = np.where(usable, _density_from_roots(evaluator, z, t), np.nan)
+    else:
+        raw, z, resid, iters, failed, degraded = _newton_grid(
+            evaluator, grid, t, delta, request.tol, request.max_iter
+        )
     if support_est is not None:
         in_support = (grid >= support_est[0]) & (grid <= support_est[1])
     else:

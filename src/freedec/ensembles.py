@@ -36,6 +36,7 @@ __all__ = [
     "law_hilbert",
     "law_r_transform",
     "meixner_decompression_params",
+    "decompressed_law",
     "draw_ensemble",
 ]
 
@@ -338,6 +339,37 @@ def meixner_decompression_params(a, b, c, alpha):
     c_new = c / (c + alpha * (1.0 - c))
     b_new = b * alpha**2 * (1.0 - c) / (1.0 - c_new)
     return a * alpha, b_new, c_new
+
+
+def decompressed_law(law, ratio):
+    """The law of ``law`` decompressed by ``ratio``, in closed form.
+
+    Along the characteristics z = T + a/m (a = ratio - 1) the decompressed
+    transform is m' = m / ratio, and substituting z into Q m^2 - P m + 1 = 0
+    gives another quadratic of the same form:
+
+        P'(T) = r (P(T) - a q1 - 2 a q2 T) / C,   Q'(T) = r^2 Q(T) / C,
+
+    with C = 1 - a p1 + a^2 q2.  C vanishes at the decompression limit
+    c / (c - 1) of a free Meixner law with c > 1 and is negative beyond it.
+    """
+    r = float(ratio)
+    if r < 1:
+        raise InputError("decompression ratio must be >= 1")
+    p = np.pad(np.asarray(law.p, dtype=float), (0, 2))[:2]
+    q = np.pad(np.asarray(law.q, dtype=float), (0, 3))[:3]
+    a = r - 1.0
+    c = 1.0 - a * p[1] + a * a * q[2]
+    if c <= 0:
+        raise InputError(f"ratio {r:g} is outside the decompression domain of {law.name!r}")
+    p_new = r * (p - a * np.array([q[1], 2.0 * q[2]])) / c
+    q_new = r * r * q / c
+    edges = npoly.polyroots(npoly.polysub(npoly.polymul(p_new, p_new), 4.0 * q_new))
+    edges = np.sort(edges[np.abs(edges.imag) <= 1e-12 * (1.0 + np.abs(edges))].real)
+    if edges.size != 2:
+        raise NumericalError(f"decompressed {law.name!r} has no bounded support")
+    support = (float(edges[0]), float(edges[1]))
+    return _make_law(f"{law.name} x{r:g}", {"source": law, "ratio": r}, support, p_new, q_new)
 
 
 # ----------------------------------------------------------------------

@@ -18,6 +18,8 @@ discontinuous on the real axis outside it), plus ``derivative`` for Newton
 solvers, ``density`` for the underlying model where available, and
 ``max_ratio``, the decompression ratio at which the source law stops having
 a free convolution power (infinite where the evaluator knows of no limit).
+The law evaluator also offers ``decompressed(ratio)``, the decompressed law
+in closed form.
 """
 
 from __future__ import annotations
@@ -214,6 +216,11 @@ class LawEvaluator:
 
     def density(self, x):
         return ensembles.law_density(self.law, x)
+
+    def decompressed(self, ratio):
+        """The decompressed law in closed form; ``decompress_density`` uses it
+        in place of the characteristic solve."""
+        return ensembles.decompressed_law(self.law, ratio)
 
 
 # ----------------------------------------------------------------------

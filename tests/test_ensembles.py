@@ -4,7 +4,9 @@ import scipy.integrate
 from numpy.polynomial import polynomial as npoly
 
 from freedec import (
+    EnsembleLaw,
     InputError,
+    decompressed_law,
     draw_ensemble,
     eigenvalues_symmetric,
     kesten_mckay_law,
@@ -265,6 +267,67 @@ def test_meixner_flow_validation():
         meixner_decompression_params(0.1, 4.0, 1.2, 2.0)
     with pytest.raises(InputError):
         meixner_decompression_params(0.1, 4.0, 0.6, -1.0)
+
+
+# ---------------------------------------------------------------------------
+# closed-form decompression
+
+
+def _pq(law):
+    return np.pad(law.p, (0, 2 - law.p.size)), np.pad(law.q, (0, 3 - law.q.size))
+
+
+def _assert_same_law(got, want):
+    # measured: coefficients 2e-16, edges 3e-14 of the width, densities 9e-14
+    # of the peak
+    for g, w in zip(_pq(got), _pq(want)):
+        assert np.max(np.abs(g - w)) <= 1e-12 * max(1.0, np.max(np.abs(w)))
+    assert np.max(np.abs(np.subtract(got.support, want.support))) <= 1e-12 * want.width
+    assert [m for _, m in got.atoms] == pytest.approx([m for _, m in want.atoms], abs=1e-9)
+    lo, hi = want.support
+    x = 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.cos(np.pi * (np.arange(999) + 0.5) / 999)
+    want_rho = law_density(want, x)
+    assert np.max(np.abs(law_density(got, x) - want_rho)) <= 1e-10 * want_rho.max()
+
+
+def test_decompressed_law_closed_forms():
+    for ratio in (1.0, 2.0, 8.0, 32.0):
+        _assert_same_law(decompressed_law(marchenko_pastur_law(1 / 50), ratio),
+                         marchenko_pastur_law(ratio / 50))
+        _assert_same_law(decompressed_law(wigner_law(2.0), ratio), wigner_law(2.0 * np.sqrt(ratio)))
+    # past lam r = 1 the MP law grows an atom at zero
+    _assert_same_law(decompressed_law(marchenko_pastur_law(0.5), 4.0), marchenko_pastur_law(2.0))
+    for ratio in (2.0, 8.0, 32.0):
+        flowed = meixner_decompression_params(0.1, 4.0, 0.6, ratio)
+        _assert_same_law(decompressed_law(meixner_law(0.1, 4.0, 0.6), ratio), meixner_law(*flowed))
+
+
+def test_decompressed_kesten_mckay_is_arcsine():
+    law = decompressed_law(kesten_mckay_law(4), 2.0)
+    arcsine = EnsembleLaw("arcsine", {}, (-4.0, 4.0), np.zeros(2), np.array([16.0, 0.0, -1.0]))
+    _assert_same_law(law, arcsine)
+    x = np.linspace(-3.99, 3.99, 999)
+    assert law_density(law, x) == pytest.approx(1.0 / (np.pi * np.sqrt(16.0 - x * x)), rel=1e-12)
+
+
+def test_decompressed_wachter_atom():
+    # Wachter(2.5, 1.5625) x2 puts mass 7/32 on x = 1, outside its support
+    law = decompressed_law(wachter_law(2.5, 1.5625), 2.0)
+    assert len(law.atoms) == 1
+    loc, mass = law.atoms[0]
+    assert loc == pytest.approx(1.0, abs=1e-12)
+    assert mass == pytest.approx(0.21875, abs=1e-6)
+    assert law.support[1] < 1.0
+    cont, _ = scipy.integrate.quad(lambda x: law_density(law, x), *law.support, limit=400)
+    assert cont == pytest.approx(0.78125, abs=1e-8)
+
+
+def test_decompressed_law_domain():
+    # C = 1 - a p1 + a^2 q2 vanishes at the pole ratio d of Kesten-McKay(d)
+    assert decompressed_law(kesten_mckay_law(4), 3.9).width > 0
+    for ratio in (4.0, 8.0, 0.5):
+        with pytest.raises(InputError):
+            decompressed_law(kesten_mckay_law(4), ratio)
 
 
 # ---------------------------------------------------------------------------
