@@ -67,13 +67,10 @@ from .metrics import (
 )
 from .stieltjes import (
     ChebyshevPadeEvaluator,
-    LanczosEvaluator,
     LawEvaluator,
     evaluator_for_model,
     joukowski,
     joukowski_inverse,
-    lanczos_stieltjes,
-    lanczos_tridiagonal,
 )
 
 __version__ = "0.1.0"

@@ -31,7 +31,7 @@ __all__ = [
     "fit_density",
 ]
 
-_PROJECTION_GRID = 4096  # uniform t-points for grid projections
+_PROJECTION_GRID = 4096  # midpoint nodes in theta = arccos(t) for grid projections
 _REPAIR_GRID = 2048  # Chebyshev-distributed constraint points
 
 
@@ -147,9 +147,12 @@ def chebyshev_coefficients(sample, support, k_max):
 def chebyshev_coefficients_from_grid(x, rho, support, k_max):
     """Chebyshev-U coefficients of density samples given on a grid.
 
-    psi_k = 4 / (pi W) * integral rho(x) U_k(M(x)) dx, evaluated by the
-    trapezoid rule on a uniform t-grid after linear interpolation of
-    ``rho``; the grid counterpart of :func:`chebyshev_coefficients`.
+    psi_k = 4 / (pi W) * integral rho(x) U_k(M(x)) dx.  With t = M(x) =
+    cos(theta) this is (2 / pi) * integral_0^pi rho sin((k + 1) theta) dtheta,
+    whose integrand stays smooth at the square-root edges; the midpoint rule
+    in theta evaluates it, psi_k = (2 / N) * sum_j rho(cos theta_j)
+    sin((k + 1) theta_j), on ``rho`` linearly interpolated at the N nodes.
+    The grid counterpart of :func:`chebyshev_coefficients`.
     """
     if k_max < 0:
         raise InputError("polynomial order must be >= 0")
@@ -157,10 +160,10 @@ def chebyshev_coefficients_from_grid(x, rho, support, k_max):
     rho = np.asarray(rho, dtype=float)
     if not np.all(np.isfinite(rho)):
         raise InputError("density samples contain non-finite values")
-    t_grid = np.linspace(-1.0, 1.0, _PROJECTION_GRID)
-    rho_t = np.interp(t_grid, _affine_to_unit(x, support), rho)
-    u = _chebyshev_u_matrix(t_grid, k_max)
-    return 2.0 / np.pi * np.trapezoid(u * rho_t[np.newaxis, :], t_grid, axis=1)
+    theta = np.pi * (np.arange(_PROJECTION_GRID) + 0.5) / _PROJECTION_GRID
+    rho_theta = np.interp(np.cos(theta), _affine_to_unit(x, support), rho)
+    sines = np.sin(np.outer(np.arange(1, k_max + 2), theta))
+    return 2.0 / _PROJECTION_GRID * (sines @ rho_theta)
 
 
 def _constraint_grid(model):

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InputError, NumericalError
 
@@ -82,6 +81,8 @@ def eigenvalues_symmetric(a):
     -------
     SpectrumSample
     """
+    import scipy.linalg  # loaded here so that importing freedec does not load scipy
+
     a = _check_symmetric(a)
     try:
         ev = scipy.linalg.eigh(a, eigvals_only=True, check_finite=False)

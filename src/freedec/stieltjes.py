@@ -9,8 +9,6 @@ density:
   model, keep working outside the series' disk of convergence, which gives
   the second-sheet continuation used by the characteristic solver for free.
 * Law: the closed-form transform of a benchmark ensemble law.
-* Lanczos: the continued-fraction resolvent approximation built from a
-  matrix, for diagnostics and baselines.
 
 All evaluators share the same interface: ``evaluate(z, branch)`` with branch
 'principal' (cut on the support) or 'secondary' (continued through the cut,
@@ -25,21 +23,16 @@ in closed form.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from . import ensembles
 from .density_fit import _affine_to_unit
 from .errors import InputError
-from .linalg import make_rng, _check_symmetric
 
 __all__ = [
     "joukowski",
     "joukowski_inverse",
     "ChebyshevPadeEvaluator",
-    "LanczosEvaluator",
     "LawEvaluator",
-    "lanczos_tridiagonal",
-    "lanczos_stieltjes",
     "evaluator_for_model",
 ]
 
@@ -90,7 +83,8 @@ def _diagonal_pade(coeffs):
     (low degree first, zero-padded to the series length) is [k/k] for
     k = 1 .. floor((n - 1) / 2); row 0 is the plain partial sum.  Each
     denominator solves its k x k Toeplitz system by minimum-norm least
-    squares, so a series that is exactly rational of lower degree, whose
+    squares (LAPACK gelsd; singular values below eps times the largest count
+    as zero), so a series that is exactly rational of lower degree, whose
     deeper systems are singular, still gives that rational function.  [k/k]
     needs c_1 .. c_2k nonzero and finite; the list stops before the first k
     without them, and ``breakdown`` reports whether that cut it short.
@@ -104,8 +98,10 @@ def _diagonal_pade(coeffs):
     num[0] = coeffs
     den[0, 0] = 1.0
     for k in range(1, count + 1):
-        toeplitz = scipy.linalg.toeplitz(coeffs[k : 2 * k], coeffs[k:0:-1])
-        q = np.concatenate([[1.0], scipy.linalg.lstsq(toeplitz, -coeffs[k + 1 : 2 * k + 1])[0]])
+        steps = np.arange(k)
+        toeplitz = coeffs[k + steps[:, np.newaxis] - steps]  # entry (i, j) is c_(k+i-j)
+        rhs = -coeffs[k + 1 : 2 * k + 1]
+        q = np.concatenate([[1.0], np.linalg.lstsq(toeplitz, rhs, rcond=np.finfo(float).eps)[0]])
         den[k, : k + 1] = q
         num[k, : k + 1] = np.convolve(q, coeffs[: k + 1])[: k + 1]
     return num, den, count < k_max
@@ -221,128 +217,6 @@ class LawEvaluator:
         """The decompressed law in closed form; ``decompress_density`` uses it
         in place of the characteristic solve."""
         return ensembles.decompressed_law(self.law, ratio)
-
-
-# ----------------------------------------------------------------------
-# Lanczos
-
-
-def lanczos_tridiagonal(a, p, seed=None, start=None, reorthogonalize=True):
-    """Lanczos tridiagonalization of a symmetric matrix.
-
-    Returns (alphas, betas, p_eff): diagonal and off-diagonal coefficients,
-    truncated early (p_eff < p) on exact breakdown, which means an invariant
-    subspace was found and the quadrature is already exact.
-    """
-    a = _check_symmetric(a)
-    n = a.shape[0]
-    if not 1 <= p <= n:
-        raise InputError(f"step count p={p} out of range [1, {n}]")
-    if start is None:
-        if seed is None:
-            raise InputError("either a start vector or a seed is required")
-        v = make_rng(seed).standard_normal(n)
-    else:
-        v = np.asarray(start, dtype=float).copy()
-    v = v / np.linalg.norm(v)
-
-    alphas = np.zeros(p)
-    betas = np.zeros(max(p - 1, 0))
-    basis = np.empty((p, n))
-    basis[0] = v
-    w = a @ v
-    alphas[0] = v @ w
-    w = w - alphas[0] * v
-    for j in range(1, p):
-        if reorthogonalize:
-            w = w - basis[:j].T @ (basis[:j] @ w)
-            w = w - basis[:j].T @ (basis[:j] @ w)
-        b = np.linalg.norm(w)
-        if b < 1e-14 * max(1.0, np.abs(alphas[: j]).max()):
-            return alphas[:j], betas[: j - 1], j
-        betas[j - 1] = b
-        v = w / b
-        basis[j] = v
-        w = a @ v - b * basis[j - 1]
-        alphas[j] = v @ w
-        w = w - alphas[j] * v
-    return alphas, betas, p
-
-
-def lanczos_stieltjes(a, p, z, seed=None, start=None, reorthogonalize=True,
-                      average=1, return_history=False):
-    """Continued-fraction Stieltjes estimate m_p(z) = e1^T (T_p - z I)^-1 e1.
-
-    ``average > 1`` repeats with independent random start vectors and
-    averages, since a single start vector estimates the resolvent moment of
-    that vector rather than the normalized trace; the two agree in
-    expectation.  With ``p = n`` and full reorthogonalization the estimate
-    is exact for the start vector's spectral measure.
-
-    Returns the value (vectorized over ``z``), or ``(value, history)`` with
-    the successive approximants m_1(z) .. m_p(z) when ``return_history``.
-    """
-    z = np.asarray(z, dtype=complex)
-    if np.any(z.imag == 0):
-        raise InputError("Lanczos evaluation requires z off the real axis")
-    if average > 1 and seed is None:
-        raise InputError("averaging over start vectors requires a seed")
-    rng = make_rng(seed) if seed is not None else None
-    vals = []
-    hist = None
-    for rep in range(max(average, 1)):
-        v0 = start if rep == 0 and start is not None else rng.standard_normal(a.shape[0])
-        alphas, betas, p_eff = lanczos_tridiagonal(
-            a, p, start=v0, reorthogonalize=reorthogonalize, seed=None
-        )
-        theta, vec = scipy.linalg.eigh_tridiagonal(alphas, betas)
-        wts = vec[0] ** 2
-        vals.append((wts[:, np.newaxis] / (theta[:, np.newaxis] - z.ravel())).sum(axis=0))
-        if rep == 0 and return_history:
-            hist = []
-            for q in range(1, p_eff + 1):
-                tq, vq = scipy.linalg.eigh_tridiagonal(alphas[:q], betas[: q - 1])
-                wq = vq[0] ** 2
-                hist.append((wq[:, np.newaxis] / (tq[:, np.newaxis] - z.ravel())).sum(axis=0))
-            hist = np.array(hist).reshape((p_eff,) + z.shape)
-    out = np.mean(vals, axis=0).reshape(z.shape)
-    out = out if out.ndim else complex(out)
-    if return_history:
-        return out, hist
-    return out
-
-
-class LanczosEvaluator:
-    """Evaluator wrapping the Lanczos continued fraction of a matrix.
-
-    The continued fraction is a rational function with real poles, hence
-    single-valued: both branch names return the same values.
-    """
-
-    method = "lanczos"
-    max_ratio = np.inf
-
-    def __init__(self, a, p, seed=None, start=None, reorthogonalize=True):
-        alphas, betas, p_eff = lanczos_tridiagonal(
-            a, p, seed=seed, start=start, reorthogonalize=reorthogonalize
-        )
-        theta, vec = scipy.linalg.eigh_tridiagonal(alphas, betas)
-        self._nodes = theta
-        self._weights = vec[0] ** 2
-        self.steps = p_eff
-        self.support = (float(theta.min()), float(theta.max()))
-
-    def evaluate(self, z, branch="secondary"):
-        z = np.asarray(z, dtype=complex)
-        out = (self._weights[:, np.newaxis] / (self._nodes[:, np.newaxis] - z.ravel())).sum(axis=0)
-        out = out.reshape(z.shape)
-        return out if out.ndim else complex(out)
-
-    def derivative(self, z, branch="secondary"):
-        z = np.asarray(z, dtype=complex)
-        out = (self._weights[:, np.newaxis] / (self._nodes[:, np.newaxis] - z.ravel()) ** 2).sum(axis=0)
-        out = out.reshape(z.shape)
-        return out if out.ndim else complex(out)
 
 
 def evaluator_for_model(model):

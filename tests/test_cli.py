@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +17,39 @@ from freedec.io import (
     save_density_csv,
     save_model,
 )
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# Run in a fresh interpreter: pytest itself has already imported scipy.
+_COLD_START = """
+import sys
+import numpy as np
+import freedec
+from freedec.cli import main
+
+loaded = ["scipy" in sys.modules]
+x = np.random.default_rng(0).standard_normal((200, 2000))
+np.savetxt("eigs.txt", np.linalg.eigvalsh(x @ x.T / 2000))
+assert main(["fit", "--eigs", "eigs.txt", "-K", "20", "-o", "model.json"]) == 0
+assert main(["decompress", "--model", "model.json", "--ratio", "2", "-o", "dens.csv"]) == 0
+assert main(["metrics", "--a", "dens.csv", "--b", "dens.csv", "--order", "400"]) == 0
+loaded.append("scipy" in sys.modules)
+assert main(["sample", "--ensemble", "wigner", "--n", "8", "--seed", "1", "-o", "s.txt"]) == 0
+loaded.append("scipy" in sys.modules)
+print(loaded)
+"""
+
+
+def test_scipy_loads_only_for_the_eigensolve(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _COLD_START], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    # not after `import freedec`, not after fit/decompress/metrics, only once sample ran
+    assert proc.stdout.splitlines()[-1] == "[False, False, True]"
+    assert np.loadtxt(tmp_path / "s.txt").size == 8
 
 
 def _read(path):

@@ -84,15 +84,17 @@ def test_moment_estimator_rejects_outliers():
 
 def test_grid_projection_recovers_coefficients():
     # a density built from known coefficients projects back onto them; the
-    # square-root edges limit the 4096-point trapezoid rule to O(h^1.5),
-    # about 2e-5 here
+    # midpoint rule in theta is exact to roundoff here, so what is left is the
+    # linear interpolation of the samples at the square-root edges (about
+    # 2e-5 from 4096 samples, 2e-6 from 20001)
     sup = (0.3, 2.1)
     psi = np.array([4 / (np.pi * 1.8), 0.05, -0.08, 0.03, 0.0, -0.01, 0.004])
     model = DensityModel(support=sup, basis="chebyshev-u", psi=psi)
-    xs = np.linspace(sup[0], sup[1], 4096)
-    recovered = chebyshev_coefficients_from_grid(xs, model.density(xs), sup, 10)
-    assert np.max(np.abs(recovered[:7] - psi)) <= 5e-5
-    assert np.max(np.abs(recovered[7:])) <= 5e-5
+    for samples, tol in ((4096, 5e-5), (20001, 5e-6)):
+        xs = np.linspace(sup[0], sup[1], samples)
+        recovered = chebyshev_coefficients_from_grid(xs, model.density(xs), sup, 10)
+        assert np.max(np.abs(recovered[:7] - psi)) <= tol
+        assert np.max(np.abs(recovered[7:])) <= tol
 
 
 def test_model_rejects_other_basis():

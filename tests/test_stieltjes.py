@@ -6,15 +6,11 @@ from scipy.special import eval_chebyu
 from freedec import (
     ChebyshevPadeEvaluator,
     DensityModel,
-    InputError,
-    LanczosEvaluator,
     LawEvaluator,
     chebyshev_coefficients_from_grid,
     evaluator_for_model,
     joukowski,
     joukowski_inverse,
-    lanczos_stieltjes,
-    lanczos_tridiagonal,
     law_density,
     law_stieltjes,
     make_rng,
@@ -113,6 +109,21 @@ def test_pade_two_pole_rational():
     ev = _series_evaluator(1.5 - 0.5 * (1.0 / 3.0) ** k)  # 1/((1-w)(1-w/3))
     want = 1.0 / ((1 - 2.0) * (1 - 2.0 / 3.0))
     assert abs(_series_at(ev, _W2) - want) <= 1e-8
+
+
+def test_pade_singular_systems_take_minimum_norm_denominators():
+    # the two-pole series is rational of degree 2, so every [k/k] system with
+    # k >= 3 is singular; each denominator must still satisfy the Pade
+    # conditions and be the minimum-norm solution of its Toeplitz system
+    c = 1.5 - 0.5 * (1.0 / 3.0) ** np.arange(12)
+    ev = _series_evaluator(c)
+    assert (ev.approximant_count, ev.breakdown) == (5, False)
+    for k in range(1, 6):
+        q = ev._den[k, : k + 1]
+        assert np.max(np.abs(np.convolve(q, c)[k + 1 : 2 * k + 1])) <= 1e-13
+        toeplitz = np.array([[c[k + i - j] for j in range(k)] for i in range(k)])
+        want = -np.linalg.pinv(toeplitz) @ c[k + 1 : 2 * k + 1]
+        assert np.max(np.abs(q[1:] - want)) <= 1e-12
 
 
 def test_pade_vectorized_matches_scalar():
@@ -236,73 +247,6 @@ def test_pade_drops_zero_tail():
     # an all-zero model keeps one coefficient
     zero = DensityModel(support=(0.0, 1.0), basis="chebyshev-u", psi=np.zeros(5))
     assert ChebyshevPadeEvaluator(zero).coeffs.size == 1
-
-
-# ---------------------------------------------------------------------------
-# Lanczos
-
-
-def test_lanczos_diag_exact():
-    a = np.diag([1.0, 2.0, 3.0])
-    start = np.ones(3) / np.sqrt(3.0)
-    z = 1j
-    got = lanczos_stieltjes(a, 3, z, start=start)
-    want = np.mean(1.0 / (np.array([1.0, 2.0, 3.0]) - z))
-    assert abs(got - want) <= 1e-12
-
-
-def test_lanczos_single_step():
-    rng = make_rng(14)
-    x = rng.standard_normal((6, 6))
-    a = (x + x.T) / 2
-    v0 = rng.standard_normal(6)
-    v0 /= np.linalg.norm(v0)
-    z = 0.3 + 0.7j
-    got = lanczos_stieltjes(a, 1, z, start=v0)
-    alpha0 = v0 @ a @ v0
-    assert abs(got - 1.0 / (alpha0 - z)) <= 1e-12
-
-
-def test_lanczos_goe_matches_eigensum():
-    rng = make_rng(15)
-    x = rng.standard_normal((200, 200))
-    a = (x + x.T) / 2
-    z = 2j * np.sqrt(200)
-    got = lanczos_stieltjes(a, 60, z, seed=5, average=6)
-    lam = np.linalg.eigvalsh(a)
-    want = np.mean(1.0 / (lam - z))
-    assert abs(got - want) <= 1e-4 * abs(want) / abs(want) + 1e-4
-
-
-def test_lanczos_history_converges():
-    rng = make_rng(16)
-    x = rng.standard_normal((100, 100))
-    a = (x + x.T) / 2
-    z = 1j * np.sqrt(100)
-    _, hist = lanczos_stieltjes(a, 30, z, seed=2, return_history=True)
-    diffs = np.abs(np.diff(hist.ravel()))
-    assert diffs[-1] <= 1e-6  # successive-approximant stopping signal
-
-
-def test_lanczos_breakdown_terminates_exactly():
-    a = np.diag([1.0, 2.0])
-    alphas, betas, p_eff = lanczos_tridiagonal(a, 2, start=np.array([1.0, 0.0]))
-    assert p_eff == 1  # start vector spans an invariant subspace
-    assert alphas[0] == pytest.approx(1.0)
-
-
-def test_lanczos_rejects_real_z():
-    with pytest.raises(InputError):
-        lanczos_stieltjes(np.eye(3), 2, 1.5, seed=0)
-
-
-def test_lanczos_evaluator_branches_coincide():
-    rng = make_rng(17)
-    x = rng.standard_normal((50, 50))
-    a = (x + x.T) / 2
-    ev = LanczosEvaluator(a, 20, seed=3)
-    z = 1.0 - 0.5j
-    assert ev.evaluate(z, "principal") == ev.evaluate(z, "secondary")
 
 
 # ---------------------------------------------------------------------------
