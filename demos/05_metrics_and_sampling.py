@@ -28,9 +28,9 @@ print(f"single QMC draw is the median: {fd.qmc_sample(grid, rho_a, 1)[0]:.4f} "
 sample_a = fd.qmc_sample(grid, rho_a, 20000)
 sample_b = fd.qmc_sample(grid, rho_b, 20000)
 print(f"\nTV  grid/empirical: {fd.total_variation(grid[1:], rho_a[1:], rho_b[1:]):.4f} / "
-      f"{fd.total_variation_samples(sample_a, sample_b, bins=64):.4f}")
+      f"{fd.total_variation_samples(sample_a, sample_b):.4f}")
 print(f"JS  grid/empirical: {fd.jensen_shannon(grid[1:], rho_a[1:], rho_b[1:]):.4f} / "
-      f"{fd.jensen_shannon_samples(sample_a, sample_b, bins=64):.4f}")
+      f"{fd.jensen_shannon_samples(sample_a, sample_b):.4f}")
 
 # log-determinant of a 1000-dimensional matrix following MP(0.5)
 mask = grid > 0.01

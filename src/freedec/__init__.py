@@ -23,7 +23,6 @@ from .density_fit import (
     DensityModel,
     chebyshev_coefficients,
     chebyshev_coefficients_from_grid,
-    estimate_support,
     estimate_support_edges,
     fit_density,
     repair_positivity_mass,

@@ -54,8 +54,6 @@ def _build_parser():
     p = sub.add_parser("fit", help="fit a density model to an eigenvalue file")
     p.add_argument("--eigs", required=True, help="newline-separated eigenvalue file")
     p.add_argument("-K", "--order", type=int, default=50, dest="order")
-    p.add_argument("--delta", type=float, default=1e-3)
-    p.add_argument("--support", choices=["edges", "minmax"], default="edges")
     p.add_argument("-o", "--output", required=True)
 
     p = sub.add_parser("decompress", help="evolve a fitted model to a larger dimension")
@@ -105,7 +103,7 @@ def _cmd_sample(args):
 def _cmd_fit(args):
     values = np.loadtxt(args.eigs, ndmin=1)
     sample = la.SpectrumSample(np.sort(values), values.size)
-    model = df.fit_density(sample, k_max=args.order, delta=args.delta, support=args.support)
+    model = df.fit_density(sample, k_max=args.order)
     fio.save_model(args.output, model)
     grid = np.linspace(model.support[0], model.support[1], 2048)
     dens = model.density(grid)

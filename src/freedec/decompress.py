@@ -38,6 +38,10 @@ __all__ = [
 
 _AUTO_GRID = 1000
 _MARGIN = 0.2
+_TOL = 1e-12  # relative residual at which a characteristic root counts as converged
+_MAX_ITER = 200  # Newton budget of the final solve at each grid point
+_SUPPORT_THRESHOLD = 1e-4  # support = where the density exceeds this fraction of its peak
+_EDGE_TOL = 1e-3  # slack, in support widths, of verify_crossing's inside test
 _EDGE_LEVELS = 3  # bisection levels per batched round of the support-edge search
 _HALVINGS = 0.5 ** np.arange(1, 5)  # line-search step factors tried after a rejected step
 
@@ -46,30 +50,23 @@ _HALVINGS = 0.5 ** np.arange(1, 5)  # line-search step factors tried after a rej
 class DecompressionRequest:
     """Inputs of one decompression run.
 
-    ``ratio`` is n / n_s >= 1; alternatively pass ``source_order`` and
-    ``target_order``.  ``grid`` is an explicit sorted array or 'auto'.
-    ``delta`` is the imaginary offset of the evaluation points (defaults to
-    1e-3 times the source support width).
+    ``ratio`` is n / n_s, finite and >= 1.  ``grid`` is an explicit finite,
+    strictly increasing array or 'auto'.  ``delta`` is the imaginary offset
+    of the evaluation points (defaults to 1e-3 times the source support
+    width).
     """
 
     evaluator: object
     ratio: float | None = None
-    source_order: int | None = None
-    target_order: int | None = None
     grid: object = "auto"
     delta: float | None = None
-    tol: float = 1e-12
-    max_iter: int = 200
 
     def resolved_ratio(self):
-        if self.ratio is not None:
-            r = float(self.ratio)
-        else:
-            if not self.source_order or not self.target_order:
-                raise InputError("need either ratio or source and target orders")
-            r = self.target_order / self.source_order
-        if r < 1:
-            raise InputError("decompression ratio must be >= 1")
+        if self.ratio is None:
+            raise InputError("need a decompression ratio")
+        r = float(self.ratio)
+        if not 1 <= r < np.inf:
+            raise InputError(f"decompression ratio must be finite and >= 1, got {r:g}")
         return r
 
 
@@ -210,7 +207,7 @@ def _reseed(evaluator, targets, t, z, resid, iters, conv, tol, max_iter):
             progress |= bool(c2.any())
 
 
-def _solve_targets(evaluator, targets, t, tol, max_iter):
+def _solve_targets(evaluator, targets, t, max_iter):
     """Continuation in t from the degenerate start z = target.
 
     The root moves continuously in t, so a few loosely converged substeps
@@ -229,21 +226,20 @@ def _solve_targets(evaluator, targets, t, tol, max_iter):
     targets = np.asarray(targets, dtype=complex)
     substeps = max(2, int(np.ceil(t / 0.9)))
     z = targets.copy()
-    tol_sub = max(tol, 1e-8)
     for j in range(1, substeps):
         tj = t * j / substeps
-        z, resid, iters, conv = _newton(evaluator, targets, tj, z, tol_sub, 40)
-        _reseed(evaluator, targets, tj, z, resid, iters, conv, tol_sub, 40)
-    z, resid, iters, conv = _newton(evaluator, targets, t, z, tol, max_iter)
+        z, resid, iters, conv = _newton(evaluator, targets, tj, z, 1e-8, 40)
+        _reseed(evaluator, targets, tj, z, resid, iters, conv, 1e-8, 40)
+    z, resid, iters, conv = _newton(evaluator, targets, t, z, _TOL, max_iter)
     if not conv.all():
         lo, hi = evaluator.support
         idx = np.where(~conv)[0]
         retry = targets[idx] - 1j * 0.1 * (hi - lo)
-        z2, r2, i2, c2 = _newton(evaluator, targets[idx], t, retry, tol, max_iter)
+        z2, r2, i2, c2 = _newton(evaluator, targets[idx], t, retry, _TOL, max_iter)
         take = c2 | (r2 < resid[idx])
         z[idx[take]], resid[idx[take]], iters[idx[take]] = z2[take], r2[take], i2[take]
         conv[idx] = c2
-    _reseed(evaluator, targets, t, z, resid, iters, conv, tol, max_iter)
+    _reseed(evaluator, targets, t, z, resid, iters, conv, _TOL, max_iter)
     return z, resid, iters, conv
 
 
@@ -258,7 +254,7 @@ def _usable(resid, conv, x):
     return conv | (resid <= 1e-6 * (1.0 + np.abs(x)))
 
 
-def _newton_grid(evaluator, grid, t, delta, tol, max_iter):
+def _newton_grid(evaluator, grid, t, delta):
     """Characteristic solve of every grid point: ``_solve_targets`` at the
     nominal offset, then at offsets lifted x10 and x100 for what is still
     unusable.  Returns the raw density, roots, residuals, iterations and
@@ -276,7 +272,7 @@ def _newton_grid(evaluator, grid, t, delta, tol, max_iter):
         idx = np.where(~usable)[0]
         if idx.size == 0:
             break
-        z2, r2, i2, c2 = _solve_targets(evaluator, grid[idx] + 1j * lift * delta, t, tol, max_iter)
+        z2, r2, i2, c2 = _solve_targets(evaluator, grid[idx] + 1j * lift * delta, t, _MAX_ITER)
         ok = _usable(r2, c2, grid[idx])
         take = ok | (lift == 1.0)  # a failed point keeps its nominal-offset root
         z[idx[take]], resid[idx[take]], iters[idx[take]] = z2[take], r2[take], i2[take]
@@ -286,7 +282,7 @@ def _newton_grid(evaluator, grid, t, delta, tol, max_iter):
     return raw, z, resid, iters, ~usable, degraded
 
 
-def _closed_form_grid(evaluator, law, grid, ratio, delta, tol):
+def _closed_form_grid(evaluator, law, grid, ratio, delta):
     """The decompressed law's principal transform m' at x + i delta, and the
     characteristic roots it implies, z = x + i delta + (r - 1) / (r m'),
     checked against the evaluator's own residual with the usable rule of
@@ -296,7 +292,7 @@ def _closed_form_grid(evaluator, law, grid, ratio, delta, tol):
     z = targets + (ratio - 1.0) / (ratio * m)
     m0 = np.asarray(evaluator.evaluate(z, "secondary"), dtype=complex)
     resid = np.abs(z - (ratio - 1.0) / m0 - targets)
-    failed = ~_usable(resid, resid <= tol * (1.0 + np.abs(targets)), grid)
+    failed = ~_usable(resid, resid <= _TOL * (1.0 + np.abs(targets)), grid)
     zeros = np.zeros(grid.size, dtype=int)
     return m.imag / np.pi, z, resid, zeros, failed, zeros.astype(bool)
 
@@ -314,11 +310,6 @@ def decompress_density(request):
     ratio = request.resolved_ratio()
     t = float(np.log(ratio))
     evaluator = request.evaluator
-    if ratio >= evaluator.max_ratio:
-        raise InputError(
-            f"ratio {ratio:g} is outside the source law's decompression domain "
-            f"(ratio < {evaluator.max_ratio:g}): no probability law answers it"
-        )
     delta = request.delta if request.delta is not None else _default_delta(evaluator)
     if not 0 < delta < 1:
         raise InputError("imaginary offset delta must lie in (0, 1)")
@@ -330,7 +321,7 @@ def decompress_density(request):
         if law is not None:
             lo_t, hi_t = law.support
         else:
-            lo_t, hi_t = track_support(evaluator, t, tol=request.tol)
+            lo_t, hi_t = track_support(evaluator, t)
         pad = 0.5 * _MARGIN * (hi_t - lo_t)
         theta = np.pi * (np.arange(_AUTO_GRID) + 0.5) / _AUTO_GRID
         grid = 0.5 * (lo_t - pad + hi_t + pad) + 0.5 * (hi_t - lo_t + 2 * pad) * np.cos(theta)
@@ -338,35 +329,31 @@ def decompress_density(request):
         support_est = (lo_t, hi_t)
     else:
         grid = np.asarray(request.grid, dtype=float)
-        if grid.ndim != 1 or grid.size < 1 or np.any(np.diff(grid) <= 0):
-            raise InputError("explicit grid must be strictly increasing")
+        finite = grid.ndim == 1 and grid.size >= 1 and np.isfinite(grid).all()
+        if not finite or np.any(np.diff(grid) <= 0):
+            raise InputError("explicit grid must be finite and strictly increasing")
         support_est = None
 
     if t == 0:
         dens = np.asarray(evaluator.density(grid), dtype=float)
-        roots = grid + 1j * delta
-        result = DecompressionResult(
+        return DecompressionResult(
             grid=grid,
             density=np.maximum(dens, 0.0),
             support=support_est if support_est is not None else evaluator.support,
             ratio=ratio,
             delta=delta,
-            roots=roots,
+            roots=grid + 1j * delta,
             residuals=np.zeros_like(grid),
             iterations=np.zeros(grid.size, dtype=int),
             failed=np.zeros(grid.size, dtype=bool),
             degraded=np.zeros(grid.size, dtype=bool),
         )
-        return result
 
     if law is not None:
-        raw, z, resid, iters, failed, degraded = _closed_form_grid(
-            evaluator, law, grid, ratio, delta, request.tol
-        )
+        solved = _closed_form_grid(evaluator, law, grid, ratio, delta)
     else:
-        raw, z, resid, iters, failed, degraded = _newton_grid(
-            evaluator, grid, t, delta, request.tol, request.max_iter
-        )
+        solved = _newton_grid(evaluator, grid, t, delta)
+    raw, z, resid, iters, failed, degraded = solved
     if support_est is not None:
         in_support = (grid >= support_est[0]) & (grid <= support_est[1])
     else:
@@ -383,7 +370,7 @@ def decompress_density(request):
     density = np.where(failed, np.nan, np.maximum(raw, 0.0))
     if support_est is None:
         good = ~failed
-        thresh = 1e-4 * np.nanmax(density)
+        thresh = _SUPPORT_THRESHOLD * np.nanmax(density)
         above = good & (density > thresh)
         support_est = (
             (float(grid[above][0]), float(grid[above][-1])) if above.any() else evaluator.support
@@ -402,35 +389,34 @@ def decompress_density(request):
     )
 
 
-def track_support(evaluator, t, delta=None, tol=1e-12, threshold_ratio=1e-4):
+def track_support(evaluator, t):
     """Support interval of the decompressed density by a batched edge search.
 
     A 97-point probe spans the source support scaled about its center by
-    e^t, doubled up to 10 times until the density decays below threshold at
-    both ends; then both edges are refined together by 30 bisection levels
-    (2^-30 of the probe spacing).  The default imaginary offset here is much
-    smaller than the density-evaluation default: the threshold crossing
-    would otherwise sit on the offset's Poisson tail instead of the edge.
+    e^t, doubled up to 10 times until the density decays below 1e-4 of its
+    peak at both ends; then both edges are refined together by 30 bisection
+    levels (2^-30 of the probe spacing).  The imaginary offset here is 1e-4
+    times the density-evaluation default: the threshold crossing would
+    otherwise sit on the offset's Poisson tail instead of the edge.
     """
     if t < 0:
         raise InputError("decompression scale t must be >= 0")
     lo, hi = evaluator.support
     if t == 0:
         return (float(lo), float(hi))
-    if delta is None:
-        delta = 1e-4 * _default_delta(evaluator)
+    delta = 1e-4 * _default_delta(evaluator)
     center = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo) * np.exp(t)
 
     for attempt in range(10):
         probe = np.linspace(center - half, center + half, 97)
-        roots, _, _, conv = _solve_targets(evaluator, probe + 1j * delta, t, tol, 100)
+        roots, _, _, conv = _solve_targets(evaluator, probe + 1j * delta, t, 100)
         vals = np.where(conv, _density_from_roots(evaluator, roots, t), 0.0)
         peak = vals.max()
         if peak <= 0:
             half *= 2.0
             continue
-        thresh = threshold_ratio * peak
+        thresh = _SUPPORT_THRESHOLD * peak
         above = vals > thresh
         if above[0] or above[-1]:
             half *= 2.0
@@ -458,7 +444,7 @@ def track_support(evaluator, t, delta=None, tol=1e-12, threshold_ratio=1e-4):
         for _ in range(30 // _EDGE_LEVELS):
             xs = (1.0 - frac) * ends[:, :1] + frac * ends[:, 1:]
             zm, _, _, ok = _newton(evaluator, xs[:, 1:-1].ravel() + 1j * delta, t,
-                                   np.repeat(z_in, frac.size - 2), tol, 60)
+                                   np.repeat(z_in, frac.size - 2), _TOL, 60)
             inside = (ok & (_density_from_roots(evaluator, zm, t) > thresh)).reshape(2, -1)
             zs = np.column_stack([zm.reshape(2, -1), z_in])
             out, inn = np.zeros(2, dtype=int), np.full(2, frac.size - 1)
@@ -478,10 +464,9 @@ class CrossingReport:
     t_star: float | None
     crossing_point: float | None
     inside_support: bool | None
-    trajectory: np.ndarray = field(repr=False, default=None)
 
 
-def verify_crossing(evaluator, z, t_max=8.0, dt=0.05, edge_tol=1e-3, tol=1e-12):
+def verify_crossing(evaluator, z, t_max=8.0, dt=0.05):
     """Locate the time at which the characteristic label crosses the axis.
 
     For fixed target ``z`` in the upper half-plane, the label phi(t, z)
@@ -497,18 +482,16 @@ def verify_crossing(evaluator, z, t_max=8.0, dt=0.05, edge_tol=1e-3, tol=1e-12):
 
     def phi_at(t, z_start):
         zz, resid, _, conv = _newton(
-            evaluator, np.array([z]), t, np.array([z_start]), tol, 200
+            evaluator, np.array([z]), t, np.array([z_start]), _TOL, _MAX_ITER
         )
         if not conv[0]:
             raise NumericalError(f"label tracking failed at t={t:.4f} (residual {resid[0]:.2e})")
         return complex(zz[0])
 
-    path = [(0.0, z)]
     t_prev, phi_prev = 0.0, z
     t_cur = dt
     while t_cur <= t_max + 1e-12:
         phi_cur = phi_at(t_cur, phi_prev)
-        path.append((t_cur, phi_cur))
         if phi_cur.imag <= 0.0:
             t_lo, t_hi = t_prev, t_cur
             p_lo = phi_prev
@@ -521,9 +504,8 @@ def verify_crossing(evaluator, z, t_max=8.0, dt=0.05, edge_tol=1e-3, tol=1e-12):
                     t_hi = t_mid
             t_star = 0.5 * (t_lo + t_hi)
             x_star = phi_at(t_star, p_lo).real
-            inside = lo - edge_tol * width <= x_star <= hi + edge_tol * width
-            return CrossingReport(True, t_star, float(x_star), bool(inside),
-                                  np.array(path, dtype=object))
+            inside = lo - _EDGE_TOL * width <= x_star <= hi + _EDGE_TOL * width
+            return CrossingReport(True, t_star, float(x_star), bool(inside))
         t_prev, phi_prev = t_cur, phi_cur
         t_cur += dt
-    return CrossingReport(False, None, None, None, np.array(path, dtype=object))
+    return CrossingReport(False, None, None, None)

@@ -24,7 +24,7 @@ from .linalg import SpectrumSample
 __all__ = [
     "DensityModel",
     "SupportEstimate",
-    "estimate_support",
+    "estimate_support_edges",
     "chebyshev_coefficients",
     "chebyshev_coefficients_from_grid",
     "repair_positivity_mass",
@@ -33,6 +33,13 @@ __all__ = [
 
 _PROJECTION_GRID = 4096  # midpoint nodes in theta = arccos(t) for grid projections
 _REPAIR_GRID = 2048  # Chebyshev-distributed constraint points
+_REPAIR_TOL_NEG = 1e-9  # most negative density the repair accepts
+_REPAIR_TOL_MASS = 1e-6  # largest mass error the repair accepts
+_REPAIR_ITER = 500  # projected-gradient steps before the blend fallback
+_REPAIR_STEP = 1e-2  # gradient step, relative to the coefficient norm
+_PAD_SCALE = 0.5  # edge padding in units of width * n^{-2/3}
+_DEGENERATE_PAD = 1e-3  # half-width, times n, around a fully degenerate spectrum
+_K_MIN, _K_CAP = 4, 6  # range of the tail cutoff order
 
 
 class SupportEstimate(NamedTuple):
@@ -107,26 +114,6 @@ class DensityModel:
         return float(self.psi[0] * np.pi * self.width / 4.0)
 
 
-def estimate_support(sample, delta=1e-3):
-    """Support interval from the extreme eigenvalues, padded by ``delta / n``.
-
-    A fully degenerate spectrum (all eigenvalues equal) gets a widened
-    interval and is flagged.
-    """
-    if delta <= 0:
-        raise InputError("padding delta must be positive")
-    ev = sample.eigenvalues
-    if ev.size == 0:
-        raise InputError("sample is empty")
-    n = sample.source_order
-    pad = delta / n
-    lo, hi = ev[0] - pad, ev[-1] + pad
-    if ev[-1] - ev[0] <= 0:
-        half = max(pad, 0.5e-8 * (1.0 + abs(ev[0])))
-        return SupportEstimate(ev[0] - half, ev[0] + half, True)
-    return SupportEstimate(lo, hi, False)
-
-
 def chebyshev_coefficients(sample, support, k_max):
     """Moment-estimated Chebyshev-U coefficients from raw eigenvalues.
 
@@ -173,7 +160,7 @@ def _constraint_grid(model):
     return 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.cos(theta)[::-1]
 
 
-def repair_positivity_mass(model, tol_neg=1e-9, tol_mass=1e-6, max_iter=500, step=1e-2):
+def repair_positivity_mass(model):
     """Project a model onto the feasible set {density >= 0, mass = 1}.
 
     Feasible inputs are returned unchanged and pure mass violations are
@@ -203,19 +190,19 @@ def repair_positivity_mass(model, tol_neg=1e-9, tol_mass=1e-6, max_iter=500, ste
     psi0 = model.psi[:kept].copy()
     rho0 = density_of(psi0)
     mass0 = float(mass_vec @ psi0)
-    if rho0.min() >= -tol_neg and abs(mass0 - 1.0) <= tol_mass:
+    if rho0.min() >= -_REPAIR_TOL_NEG and abs(mass0 - 1.0) <= _REPAIR_TOL_MASS:
         return model
-    if mass0 > 0 and rho0.min() >= -tol_neg * mass0:
+    if mass0 > 0 and rho0.min() >= -_REPAIR_TOL_NEG * mass0:
         return with_kept(psi0 / mass0)
 
     scale = max(np.linalg.norm(psi0), 1e-30)
     psi = psi0.copy()
     best = None
-    for _ in range(max_iter):
+    for _ in range(_REPAIR_ITER):
         rho = density_of(psi)
-        neg = np.minimum(rho + tol_neg, 0.0)
+        neg = np.minimum(rho + _REPAIR_TOL_NEG, 0.0)
         mass_err = float(mass_vec @ psi) - 1.0
-        if neg.min() == 0.0 and abs(mass_err) <= tol_mass:
+        if neg.min() == 0.0 and abs(mass_err) <= _REPAIR_TOL_MASS:
             dist = np.linalg.norm(psi - psi0)
             if best is None or dist < best[0]:
                 best = (dist, psi.copy())
@@ -224,12 +211,12 @@ def repair_positivity_mass(model, tol_neg=1e-9, tol_mass=1e-6, max_iter=500, ste
         gnorm = np.linalg.norm(grad)
         if gnorm == 0:
             break
-        psi = psi - step * scale * grad / gnorm
+        psi = psi - _REPAIR_STEP * scale * grad / gnorm
         m = float(mass_vec @ psi)
         if m > 0.1:
             psi = psi / m
             rho = density_of(psi)
-            if rho.min() >= -tol_neg:
+            if rho.min() >= -_REPAIR_TOL_NEG:
                 dist = np.linalg.norm(psi - psi0)
                 if best is None or dist < best[0]:
                     best = (dist, psi.copy())
@@ -244,7 +231,7 @@ def repair_positivity_mass(model, tol_neg=1e-9, tol_mass=1e-6, max_iter=500, ste
             theta = 0.5 * (lo_t + hi_t)
             cand = theta * psi0 + (1.0 - theta) * floor
             m = float(mass_vec @ cand)
-            if m > 0 and density_of(cand / m).min() >= -0.5 * tol_neg:
+            if m > 0 and density_of(cand / m).min() >= -0.5 * _REPAIR_TOL_NEG:
                 lo_t = theta
             else:
                 hi_t = theta
@@ -261,76 +248,65 @@ def _basis_matrix(support, x, order):
     return np.sqrt(np.maximum(1.0 - t * t, 0.0)) * _chebyshev_u_matrix(t, order)
 
 
-def estimate_support_edges(sample, pad_scale=0.5):
+def estimate_support_edges(sample):
     """Support with Tracy-Widom-scaled edge padding.
 
     The extreme eigenvalues sit O(n^{-2/3}) inside the limiting edges and,
     placed exactly on the interval boundary, make the moment estimator's
     high-order coefficients grow linearly in the order.  Padding each side
-    by ``pad_scale * width * n^{-2/3}`` fixes both problems.
+    by ``0.5 * width * n^{-2/3}`` fixes both problems.  A fully degenerate
+    spectrum (all eigenvalues equal) gets a small interval around its value
+    and is flagged.
     """
     ev = sample.eigenvalues
     if ev.size == 0:
         raise InputError("sample is empty")
     raw = ev[-1] - ev[0]
     if raw <= 0:
-        return estimate_support(sample)
-    pad = pad_scale * raw * sample.source_order ** (-2.0 / 3.0)
+        half = max(_DEGENERATE_PAD / sample.source_order, 0.5e-8 * (1.0 + abs(ev[0])))
+        return SupportEstimate(ev[0] - half, ev[0] + half, True)
+    pad = _PAD_SCALE * raw * sample.source_order ** (-2.0 / 3.0)
     return SupportEstimate(ev[0] - pad, ev[-1] + pad, False)
 
 
-def truncate_tail(psi, k_min=4, k_cap=6):
+def truncate_tail(psi):
     """Zero the noise-dominated coefficient tail.
 
     The cutoff is the last coefficient above 2.5 times a robust noise floor
-    estimated from the upper half of the sequence, clamped to
-    [k_min, k_cap].  Estimated tails otherwise feed the Pade continuation
-    pure noise, which it amplifies into spurious pole structure.
+    estimated from the upper half of the sequence, clamped to [4, 6] and to
+    the series' own order.  Estimated tails otherwise feed the Pade
+    continuation pure noise, which it amplifies into spurious pole structure.
     """
     psi = np.asarray(psi, dtype=float).copy()
     half = psi[psi.size // 2 :]
     floor = 1.4826 * np.median(np.abs(half)) if half.size else 0.0
     above = np.where(np.abs(psi) > 2.5 * floor)[0]
-    k_eff = int(np.clip(above.max() if above.size else k_min, k_min, k_cap))
+    k_eff = int(np.clip(above.max() if above.size else _K_MIN, _K_MIN, _K_CAP))
+    k_eff = min(k_eff, psi.size - 1)
     psi[k_eff + 1 :] = 0.0
     return psi, k_eff
 
 
-def fit_density(sample, k_max=50, delta=1e-3, support="edges", tail="truncate", repair=True):
+def fit_density(sample, k_max=50):
     """Fit a DensityModel to an eigenvalue sample.
 
-    The Chebyshev-U coefficients come from the direct moment estimator on
-    the eigenvalues (:func:`chebyshev_coefficients`).
-
-    ``support`` selects the interval strategy: ``'edges'`` (default) pads
-    the extreme eigenvalues on the Tracy-Widom scale, ``'minmax'`` uses the
-    bare ``delta / n`` padding, or pass an explicit ``(lo, hi)`` pair.
-    ``tail='truncate'`` zeroes noise-dominated high orders, which analytic
-    continuation would otherwise amplify.  ``repair`` makes the kept
-    coefficients a nonnegative density of unit mass
-    (:func:`repair_positivity_mass`).
+    The support pads the extreme eigenvalues on the Tracy-Widom scale
+    (:func:`estimate_support_edges`).  The Chebyshev-U coefficients come
+    from the direct moment estimator on the eigenvalues
+    (:func:`chebyshev_coefficients`); their noise-dominated high orders,
+    which analytic continuation would amplify, are zeroed
+    (:func:`truncate_tail`), and the kept ones are made a nonnegative
+    density of unit mass (:func:`repair_positivity_mass`).
     """
     if not isinstance(sample, SpectrumSample):
         raise InputError("fit_density expects a SpectrumSample")
-    degenerate = False
-    if support == "edges":
-        lo, hi, degenerate = estimate_support_edges(sample)
-    elif support == "minmax":
-        lo, hi, degenerate = estimate_support(sample, delta)
-    else:
-        lo, hi = support
-    support = (lo, hi)
-    psi = chebyshev_coefficients(sample, support, k_max)
-    k_eff = None
-    if tail == "truncate":
-        psi, k_eff = truncate_tail(psi)
+    lo, hi, degenerate = estimate_support_edges(sample)
+    psi, k_eff = truncate_tail(chebyshev_coefficients(sample, (lo, hi), k_max))
     model = DensityModel(
-        support=support,
+        support=(lo, hi),
         basis="chebyshev-u",
         psi=psi,
         degenerate_support=degenerate,
-        meta={"n_s": sample.source_order, "k_max": k_max, "k_eff": k_eff, "delta": delta},
+        meta={"n_s": sample.source_order, "k_max": k_max, "k_eff": k_eff},
     )
-    if repair:
-        model = repair_positivity_mass(model)
-    return model
+    return repair_positivity_mass(model)

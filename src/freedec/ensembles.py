@@ -41,6 +41,7 @@ __all__ = [
 ]
 
 _TINY = 1e-14
+_CDF_GRID = 4096  # trapezoid nodes of law_cdf over the support
 
 
 @dataclass(frozen=True)
@@ -158,15 +159,6 @@ def meixner_law(a, b, c):
     return _make_law("meixner", {"a": a, "b": b, "c": c}, (a - half, a + half), p, q)
 
 
-_LAW_FACTORIES = {
-    "wigner": wigner_law,
-    "mp": marchenko_pastur_law,
-    "kesten-mckay": kesten_mckay_law,
-    "wachter": wachter_law,
-    "meixner": meixner_law,
-}
-
-
 # ----------------------------------------------------------------------
 # transforms
 
@@ -189,10 +181,10 @@ def law_density(law, x):
     return out if out.ndim else float(out)
 
 
-def law_cdf(law, x, grid_size=4096):
+def law_cdf(law, x):
     """Distribution function of ``law`` (continuous part plus atoms)."""
     lo, hi = law.support
-    grid = np.linspace(lo, hi, grid_size)
+    grid = np.linspace(lo, hi, _CDF_GRID)
     dens = law_density(law, grid)
     cum = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(grid))])
     x = np.asarray(x, dtype=float)

@@ -32,6 +32,7 @@ __all__ = [
 ]
 
 _SHARED_GRID = 4096
+_HIST_BINS = 64  # histogram cells of the sample-based distances
 
 
 def _check_pair(x, rho_a, rho_b):
@@ -58,10 +59,10 @@ def regrid(x_src, rho_src, x_dst):
     return np.interp(np.asarray(x_dst, dtype=float), x_src, rho_src, left=0.0, right=0.0)
 
 
-def shared_grid(support_a, support_b, size=_SHARED_GRID):
+def shared_grid(support_a, support_b):
     lo = min(support_a[0], support_b[0])
     hi = max(support_a[1], support_b[1])
-    return np.linspace(lo, hi, size)
+    return np.linspace(lo, hi, _SHARED_GRID)
 
 
 def total_variation(x, rho_a, rho_b):
@@ -88,24 +89,24 @@ def jensen_shannon(x, rho_a, rho_b):
     return float(0.5 * half_kl(a) + 0.5 * half_kl(b))
 
 
-def _hist_pair(samples_a, samples_b, bins):
+def _hist_pair(samples_a, samples_b):
     a = np.asarray(samples_a, dtype=float)
     b = np.asarray(samples_b, dtype=float)
     lo = min(a.min(), b.min())
     hi = max(a.max(), b.max())
-    pa, _ = np.histogram(a, bins=bins, range=(lo, hi))
-    pb, _ = np.histogram(b, bins=bins, range=(lo, hi))
+    pa, _ = np.histogram(a, bins=_HIST_BINS, range=(lo, hi))
+    pb, _ = np.histogram(b, bins=_HIST_BINS, range=(lo, hi))
     return pa / a.size, pb / b.size
 
 
-def total_variation_samples(samples_a, samples_b, bins=64):
-    """Histogram cross-check variant of the density-grid total variation."""
-    pa, pb = _hist_pair(samples_a, samples_b, bins)
+def total_variation_samples(samples_a, samples_b):
+    """Histogram cross-check variant of the density-grid total variation (64 cells)."""
+    pa, pb = _hist_pair(samples_a, samples_b)
     return float(0.5 * np.abs(pa - pb).sum())
 
 
-def jensen_shannon_samples(samples_a, samples_b, bins=64):
-    pa, pb = _hist_pair(samples_a, samples_b, bins)
+def jensen_shannon_samples(samples_a, samples_b):
+    pa, pb = _hist_pair(samples_a, samples_b)
     mid = 0.5 * (pa + pb)
 
     def half_kl(p):
@@ -146,17 +147,17 @@ def log_determinant(x, rho, order):
     return float(order * np.trapezoid(np.log(xs) * rs, xs))
 
 
-def van_der_corput(count, base=2):
-    """First ``count`` points of the van der Corput sequence (index >= 1)."""
+def van_der_corput(count):
+    """First ``count`` points of the base-2 van der Corput sequence (index >= 1)."""
     if count < 1:
         raise InputError("need at least one point")
     out = np.empty(count)
     for i in range(1, count + 1):
-        f, r, v = 1.0 / base, i, 0.0
+        f, r, v = 0.5, i, 0.0
         while r:
-            r, digit = divmod(r, base)
+            r, digit = divmod(r, 2)
             v += f * digit
-            f /= base
+            f /= 2
         out[i - 1] = v
     return out
 

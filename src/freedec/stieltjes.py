@@ -13,11 +13,9 @@ density:
 All evaluators share the same interface: ``evaluate(z, branch)`` with branch
 'principal' (cut on the support) or 'secondary' (continued through the cut,
 discontinuous on the real axis outside it), plus ``derivative`` for Newton
-solvers, ``density`` for the underlying model where available, and
-``max_ratio``, the decompression ratio at which the source law stops having
-a free convolution power (infinite where the evaluator knows of no limit).
-The law evaluator also offers ``decompressed(ratio)``, the decompressed law
-in closed form.
+solvers, and ``density`` for the underlying model.  The law evaluator also
+offers ``decompressed(ratio)``, the decompressed law in closed form; it
+raises ``InputError`` for a ratio outside the law's decompression domain.
 """
 
 from __future__ import annotations
@@ -129,7 +127,6 @@ class ChebyshevPadeEvaluator:
     """
 
     method = "pade-chebyshev"
-    max_ratio = np.inf
 
     def __init__(self, model):
         self.model = model
@@ -198,11 +195,6 @@ class LawEvaluator:
     def __init__(self, law):
         self.law = law
         self.support = law.support
-        # Every law here is free Meixner with c = p_1 + 2.  Decompression
-        # runs the flow c' = c / (c + r (1 - c)), which has its pole at
-        # r = c / (c - 1) when c > 1; beyond it no probability law exists.
-        c = float(law.p[1]) + 2.0
-        self.max_ratio = c / (c - 1.0) if c > 1.0 else np.inf
 
     def evaluate(self, z, branch="secondary"):
         return ensembles.law_stieltjes(self.law, z, branch)

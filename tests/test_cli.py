@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from freedec import DensityModel, InputError
-from freedec.cli import main
+from freedec.cli import _build_parser, main
 from freedec.io import (
     load_density_csv,
     load_model,
@@ -133,11 +133,10 @@ def test_fit_k0_single_coefficient(tmp_path):
     eigs = tmp_path / "eigs.txt"
     model_path = tmp_path / "m.json"
     main(["sample", "--ensemble", "wigner", "--n", "64", "--seed", "2", "-o", str(eigs)])
-    assert main(
-        ["fit", "--eigs", str(eigs), "-K", "0", "--support", "minmax", "-o", str(model_path)]
-    ) == 0
+    assert main(["fit", "--eigs", str(eigs), "-K", "0", "-o", str(model_path)]) == 0
     model = load_model(model_path)
     assert model.psi.size == 1
+    assert model.meta["k_eff"] == 0  # never above the fit order
 
 
 def test_model_roundtrip_exact():
@@ -203,6 +202,18 @@ def test_decompress_fault_injection(tmp_path, capsys):
     assert "failed" in capsys.readouterr().err
 
 
+def test_decompress_non_finite_input_exits_2(tmp_path, capsys):
+    # bad input, not a solver failure (exit 3) or a traceback
+    model = DensityModel(support=(0.0, 1.0), basis="chebyshev-u", psi=np.array([4 / np.pi, 0.1]))
+    path = tmp_path / "m.json"
+    save_model(path, model)
+    for extra in (["--ratio", "nan"], ["--ratio", "inf"], ["--ratio", "4", "--grid", "0:nan:50"]):
+        code = main(["decompress", "--model", str(path), *extra, "-o", str(tmp_path / "d.csv")])
+        assert code == 2
+        assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "d.csv").exists()
+
+
 def test_metrics_command(tmp_path, capsys):
     x = np.linspace(0.0, 1.0, 257)
     save_density_csv(tmp_path / "a.csv", x, np.ones_like(x))
@@ -223,3 +234,94 @@ def test_density_csv_validation(tmp_path):
     path.write_text("x,density\n1.0,0.5\n0.5,0.5\n")
     with pytest.raises(Exception):
         load_density_csv(path)
+
+
+# ---------------------------------------------------------------------------
+# every flag takes effect
+
+_MP = ["sample", "--ensemble", "mp", "--n", "30", "--d", "300", "--seed", "1"]
+_WACHTER = ["sample", "--ensemble", "wachter", "--n", "20", "--d1", "40", "--d2", "30",
+            "--seed", "1"]
+_MEIXNER = ["sample", "--ensemble", "meixner", "--n", "50", "--a", "0.1", "--b", "4",
+            "--c", "0.6", "--seed", "3"]
+_FIT = ["fit", "--eigs", "{eigs}"]
+_DECOMPRESS = ["decompress", "--model", "{model}", "--ratio", "2"]
+_METRICS = ["metrics", "--a", "{dens_a}", "--b", "{dens_b}"]
+
+# (command, long flag) -> (base arguments, the same with the flag at a
+# non-default value), or None for a flag that names a file; the output goes
+# to the file named after the command
+_OUTPUT = {"sample": "out.txt", "fit": "out.json", "decompress": "out.csv", "metrics": "out.json"}
+_FLAG_EFFECTS = {
+    ("sample", "--ensemble"): (_MP, _MP[:2] + ["wigner"] + _MP[3:]),
+    ("sample", "--n"): (_MP, _MP + ["--n", "31"]),
+    ("sample", "--d"): (_MP, _MP + ["--d", "400"]),
+    ("sample", "--d1"): (_WACHTER, _WACHTER + ["--d1", "50"]),
+    ("sample", "--d2"): (_WACHTER, _WACHTER + ["--d2", "40"]),
+    ("sample", "--a"): (_MEIXNER, _MEIXNER + ["--a", "0.2"]),
+    ("sample", "--b"): (_MEIXNER, _MEIXNER + ["--b", "3"]),
+    ("sample", "--c"): (_MEIXNER, _MEIXNER + ["--c", "0.5"]),
+    ("sample", "--seed"): (_MP, _MP + ["--seed", "2"]),
+    ("sample", "--output"): None,
+    ("fit", "--eigs"): None,
+    ("fit", "--order"): (_FIT, _FIT + ["-K", "2"]),
+    ("fit", "--output"): None,
+    ("decompress", "--model"): None,
+    ("decompress", "--ratio"): (_DECOMPRESS, _DECOMPRESS + ["--ratio", "3"]),
+    ("decompress", "--target-n"): (_DECOMPRESS, _DECOMPRESS[:3] + ["--target-n", "900"]),
+    ("decompress", "--grid"): (_DECOMPRESS, _DECOMPRESS + ["--grid", "0.2:2.5:64"]),
+    ("decompress", "--delta"): (_DECOMPRESS, _DECOMPRESS + ["--delta", "0.01"]),
+    ("decompress", "--output"): None,
+    ("metrics", "--a"): None,
+    ("metrics", "--b"): None,
+    ("metrics", "--order"): (_METRICS, _METRICS + ["--order", "1000"]),
+    ("metrics", "--output"): None,
+}
+
+
+def _effect(path):
+    if path.suffix != ".json":
+        return path.read_bytes()
+    doc = json.loads(path.read_text())
+    doc.pop("fit_meta", None)  # echoes the fit arguments, so an ignored flag still shows there
+    return doc
+
+
+def _parser_flags():
+    subparsers = _build_parser()._subparsers._group_actions[0].choices
+    return {
+        (command, max(action.option_strings, key=len))
+        for command, sub in subparsers.items()
+        for action in sub._actions
+        if action.option_strings and action.dest != "help"
+    }
+
+
+def test_flag_table_lists_every_parser_flag():
+    assert _parser_flags() == set(_FLAG_EFFECTS)
+
+
+@pytest.mark.parametrize("key", sorted(k for k, v in _FLAG_EFFECTS.items() if v is not None),
+                         ids=" ".join)
+def test_every_flag_takes_effect(key, tmp_path, capsys):
+    inputs = {"eigs": tmp_path / "eigs.txt", "model": tmp_path / "model.json",
+              "dens_a": tmp_path / "a.csv", "dens_b": tmp_path / "b.csv"}
+    assert main(["sample", "--ensemble", "mp", "--n", "300", "--d", "3000", "--seed", "5",
+                 "-o", str(inputs["eigs"])]) == 0
+    assert main(["fit", "--eigs", str(inputs["eigs"]), "-K", "30",
+                 "-o", str(inputs["model"])]) == 0
+    x = np.linspace(0.5, 2.0, 257)
+    save_density_csv(inputs["dens_a"], x, np.ones_like(x))
+    save_density_csv(inputs["dens_b"], x, x)
+    capsys.readouterr()
+
+    def outputs(argv, name):
+        out_dir = tmp_path / name
+        out_dir.mkdir()
+        argv = [arg.format(**inputs) for arg in argv]
+        assert main(argv + ["-o", str(out_dir / _OUTPUT[argv[0]])]) == 0
+        files = {p.name: _effect(p) for p in sorted(out_dir.iterdir())}
+        return files, capsys.readouterr().out
+
+    base, changed = _FLAG_EFFECTS[key]
+    assert outputs(changed, "changed") != outputs(base, "base")

@@ -8,7 +8,7 @@ from freedec import (
     SpectrumSample,
     chebyshev_coefficients,
     chebyshev_coefficients_from_grid,
-    estimate_support,
+    estimate_support_edges,
     fit_density,
     make_rng,
     marchenko_pastur_law,
@@ -32,15 +32,17 @@ def _semicircle_sample(n, seed=42):
 
 
 def test_support_formula():
+    # each side is padded by half the width times n^{-2/3}
     s = SpectrumSample(np.array([0.0, 1.0]), 2)
-    lo, hi, degenerate = estimate_support(s, delta=0.01)
-    assert (lo, hi) == pytest.approx((-0.005, 1.005))
+    lo, hi, degenerate = estimate_support_edges(s)
+    pad = 0.5 * 2 ** (-2 / 3)
+    assert (lo, hi) == pytest.approx((-pad, 1.0 + pad))
     assert not degenerate
 
 
 def test_support_degenerate():
     s = SpectrumSample(np.array([5.0, 5.0, 5.0]), 3)
-    lo, hi, degenerate = estimate_support(s, delta=0.01)
+    lo, hi, degenerate = estimate_support_edges(s)
     assert degenerate
     assert lo < 5.0 < hi
 
@@ -51,7 +53,7 @@ def test_support_covers_mp_edges():
     x = rng.standard_normal((1000, 50000 // 10))  # d=5000 keeps the test light
     a = x @ x.T / 5000
     ev = np.sort(np.linalg.eigvalsh((a + a.T) / 2))
-    lo, hi, _ = estimate_support(SpectrumSample(ev, 1000), 1e-3)
+    lo, hi, _ = estimate_support_edges(SpectrumSample(ev, 1000))
     law_edges = marchenko_pastur_law(0.2).support
     assert lo == pytest.approx(law_edges[0], abs=0.05)
     assert hi == pytest.approx(law_edges[1], abs=0.05)
@@ -106,8 +108,8 @@ def test_affine_equivariance():
     s = _semicircle_sample(5000, seed=3)
     scale, shift = 2.5, -0.7
     mapped = SpectrumSample(np.sort(scale * s.eigenvalues + shift), s.source_order)
-    m1 = fit_density(s, k_max=16, tail=None, repair=False)
-    m2 = fit_density(mapped, k_max=16, tail=None, repair=False)
+    m1 = fit_density(s, k_max=16)
+    m2 = fit_density(mapped, k_max=16)
     grid = np.linspace(*m1.support, 1500)
     pushed = m1.density(grid) / scale
     assert np.max(np.abs(m2.density(scale * grid + shift) - pushed)) <= 1e-8

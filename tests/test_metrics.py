@@ -60,13 +60,13 @@ def test_empirical_variants_track_density_versions():
     rng = np.random.default_rng(0)
     a = rng.normal(0.0, 1.0, 20000)
     b = rng.normal(0.5, 1.0, 20000)
-    tv_hist = total_variation_samples(a, b, bins=64)
+    tv_hist = total_variation_samples(a, b)
     x = np.linspace(-5, 6, 4001)
     ga = np.exp(-0.5 * x**2)
     gb = np.exp(-0.5 * (x - 0.5) ** 2)
     tv_dens = total_variation(x, ga, gb)
     assert tv_hist == pytest.approx(tv_dens, abs=0.03)
-    assert jensen_shannon_samples(a, b, bins=64) == pytest.approx(
+    assert jensen_shannon_samples(a, b) == pytest.approx(
         jensen_shannon(x, ga, gb), abs=0.01
     )
 
