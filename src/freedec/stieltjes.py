@@ -105,6 +105,34 @@ def _diagonal_pade(coeffs):
     return num, den, count < k_max
 
 
+def _wynn_choice(vals, c0):
+    """The approximant Wynn's jump rule picks at each point (row) of ``vals``.
+
+    Column 0 of ``vals`` is the partial sum and column k the value of [k/k].
+    The jump of a finite approximant is its distance from the last finite
+    approximant before it, or from c_0 for the first; a non-finite
+    approximant has none.  The choice is the last approximant with the
+    smallest jump, or 0 at a point without a jump.  That is where a sweep
+    over k ends that takes each approximant whose jump is no larger than
+    every earlier one.
+    """
+    count = vals.shape[1] - 1
+    seq = np.empty((count + 1, vals.shape[0]), dtype=complex)  # c_0, then one row per [k/k]
+    seq[0] = c0
+    seq[1:] = vals[:, 1:].T
+    finite = np.isfinite(seq)
+    ks = np.arange(count + 1)[:, np.newaxis]
+    prev = seq[:-1]
+    if not finite.all():
+        # the last finite value before each row, c_0 counting as finite; the
+        # accumulate is the costliest step, so it runs only when needed
+        last = np.maximum.accumulate(np.where(finite, ks, 0), axis=0)
+        prev = np.take_along_axis(seq, last[:-1], axis=0)
+    jump = np.where(finite[1:], np.abs(seq[1:] - prev), np.nan)
+    smallest = np.fmin.reduce(jump, axis=0, initial=np.nan)
+    return np.maximum.reduce(np.where(jump == smallest, ks[1:], 0), axis=0, initial=0)
+
+
 class ChebyshevPadeEvaluator:
     """Second-sheet Stieltjes evaluator for Chebyshev-U density models.
 
@@ -114,12 +142,13 @@ class ChebyshevPadeEvaluator:
     cut the list short).  They converge on both Joukowski sheets, so
     continuing through the support cut only requires switching the J branch
     below the axis.  Per evaluation point the approximant is chosen as
-    Wynn's epsilon algorithm would: starting from c_0, each successive finite
-    approximant whose jump from its predecessor is no larger than the
-    smallest jump so far replaces the choice, since successive approximants
-    first approach the limit and then degrade once roundoff or coefficient
-    noise is amplified.  With no approximants the partial sum is used.  The
-    derivative is that of the chosen approximant.
+    Wynn's epsilon algorithm would, since successive approximants first
+    approach the limit and then degrade once roundoff or coefficient noise
+    is amplified: the jump of each finite approximant is measured from the
+    last finite one before it (from c_0 for the first), and the choice is
+    the last approximant with the smallest jump.  With no approximants, or
+    no finite one, the partial sum is used.  The derivative is that of the
+    chosen approximant.
 
     Trailing zero coefficients (the tail cut by ``truncate_tail``) are
     dropped first: they leave the series and its approximants unchanged,
@@ -152,18 +181,9 @@ class ChebyshevPadeEvaluator:
         powers = np.vander(w, self.coeffs.size, increasing=True)
         num = powers @ self._num.T
         den = powers @ self._den.T
-        chosen = np.zeros(w.size, dtype=int)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             vals = num / den
-            best_jump = np.full(w.size, np.inf)
-            prev = np.full(w.size, self.coeffs[0], dtype=complex)
-            for k in range(1, vals.shape[1]):
-                finite = np.isfinite(vals[:, k])
-                jump = np.abs(vals[:, k] - prev)
-                take = finite & (jump <= best_jump)
-                chosen[take] = k
-                best_jump[take] = jump[take]
-                prev = np.where(finite, vals[:, k], prev)
+            chosen = _wynn_choice(vals, self.coeffs[0])
         rows = np.arange(w.size)
         return w, u, powers, chosen, vals[rows, chosen], den[rows, chosen]
 

@@ -16,6 +16,7 @@ from freedec import (
     make_rng,
     marchenko_pastur_law,
 )
+from freedec.stieltjes import _wynn_choice
 
 
 def _quad_transform(density, lo, hi, z):
@@ -141,6 +142,102 @@ def test_pade_zero_coefficient_breakdown():
     ev = _series_evaluator([1.0, 0.0, 2.0, 3.0])
     assert (ev.approximant_count, ev.breakdown) == (0, True)
     assert _series_at(ev, _W2) == pytest.approx(1.0 + 2.0 * _W2**2 + 3.0 * _W2**3, rel=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# choosing the approximant per point
+
+
+def _reference_choice(vals, c0):
+    # The per-k sweep the evaluator ran before the one-pass selection: take
+    # each finite approximant whose jump from the last finite value (c_0 at
+    # first) is no larger than every earlier jump.
+    chosen = np.zeros(vals.shape[0], dtype=int)
+    best_jump = np.full(vals.shape[0], np.inf)
+    prev = np.full(vals.shape[0], c0, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, vals.shape[1]):
+            finite = np.isfinite(vals[:, k])
+            jump = np.abs(vals[:, k] - prev)
+            take = finite & (jump <= best_jump)
+            chosen[take] = k
+            best_jump[take] = jump[take]
+            prev = np.where(finite, vals[:, k], prev)
+    return chosen
+
+
+def _assert_choice_matches_reference(vals, c0):
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = _wynn_choice(vals, c0)
+    assert np.array_equal(got, _reference_choice(vals, c0))
+
+
+def test_choice_matches_sweep_on_random_rows():
+    rng = make_rng(31)
+    holes = np.array([np.nan, np.inf, -np.inf, complex(np.inf, np.nan), complex(0.0, np.nan)])
+    for count in (0, 1, 2, 5, 12):
+        shape = (300, count + 1)
+        vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        _assert_choice_matches_reference(vals, 0.3)
+        # non-finite approximants, up to whole rows of them
+        holed = vals.copy()
+        mask = rng.random(shape) < np.linspace(0.0, 1.0, shape[0])[:, np.newaxis]
+        holed[mask] = rng.choice(holes, mask.sum())
+        _assert_choice_matches_reference(holed, 0.3)
+        _assert_choice_matches_reference(holed, np.nan)
+        # small integers: exact ties everywhere
+        ties = (rng.integers(-2, 3, shape) + 1j * rng.integers(-1, 2, shape)).astype(complex)
+        _assert_choice_matches_reference(ties, 0.0)
+
+
+def test_choice_matches_sweep_on_ties_and_infinite_jumps():
+    big = np.finfo(float).max
+    vals = np.array([
+        [9.0, 1.0, 2.0, 3.0, 4.0],  # equal jumps after the first
+        [9.0, 1.0, 0.5, 1.0, 0.5],  # the smallest jump occurs three times
+        [9.0, big, -big, big, -big],  # every jump after the first overflows
+        [9.0, big, -big, np.nan, np.inf],
+        [9.0, np.nan, np.inf, np.nan, np.nan],  # no finite approximant: the partial sum
+        [9.0, 0.0, np.nan, 0.0, 5.0],  # a jump measured across a non-finite value
+    ], dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert _wynn_choice(vals, 0.0).tolist() == [4, 4, 1, 1, 0, 3]
+        # from c_0 = -big every jump of rows 2 and 3 is infinite: the last finite
+        assert _wynn_choice(vals, -big).tolist() == [4, 4, 4, 2, 0, 3]
+    for c0 in (0.0, -big):
+        _assert_choice_matches_reference(vals, c0)
+
+
+def test_choice_matches_sweep_through_the_evaluator():
+    # zero denominators (the geometric series' [k/k] has its pole at w = 2),
+    # overflow at large |w|, and a model without approximants
+    model, _ = _mp_model(lam=1 / 50, k_max=20)
+    evaluators = [
+        _series_evaluator(0.5 ** np.arange(9)),
+        ChebyshevPadeEvaluator(model),
+        _series_evaluator([1.0, 0.0, 2.0, 3.0]),
+    ]
+    assert evaluators[2].approximant_count == 0
+    rng = make_rng(8)
+    w = np.concatenate([
+        rng.standard_normal(200) * 3 + 1j * rng.standard_normal(200),
+        [2.0, 2.0 + 0j, -2.0, 1e100, 1e200j, -1e300],
+    ])
+    seen_non_finite = False
+    for ev in evaluators:
+        lo, hi = ev.support
+        z = np.concatenate([rng.uniform(lo - 1, hi + 1, 100) + 1j * rng.uniform(-1, 1, 100),
+                            [1e150, -1e150j, 1e300 - 1e300j]])
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            powers = np.vander(w, ev._num.shape[1], increasing=True)
+            vals = (powers @ ev._num.T) / (powers @ ev._den.T)
+            seen_non_finite |= not np.isfinite(vals[:, 1:]).all()
+            _assert_choice_matches_reference(vals, ev.coeffs[0])
+            for branch in ("principal", "secondary"):
+                _, _, powers, chosen, _, _ = ev._chosen(z, branch)
+                vals = (powers @ ev._num.T) / (powers @ ev._den.T)
+                assert np.array_equal(chosen, _reference_choice(vals, ev.coeffs[0]))
+    assert seen_non_finite
 
 
 # ---------------------------------------------------------------------------
