@@ -53,6 +53,9 @@ class SpectrumSample:
         ev = np.asarray(self.eigenvalues, dtype=float)
         if ev.ndim != 1 or ev.size != self.source_order:
             raise InputError("eigenvalue count must equal source_order")
+        bad = np.flatnonzero(~np.isfinite(ev))
+        if bad.size:
+            raise InputError(f"eigenvalue {float(ev[bad[0]])} is not finite")
         if np.any(np.diff(ev) < 0):
             raise InputError("eigenvalues must be sorted ascending")
         object.__setattr__(self, "eigenvalues", ev)

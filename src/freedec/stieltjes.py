@@ -141,14 +141,21 @@ class ChebyshevPadeEvaluator:
     (``approximant_count`` of them; ``breakdown`` when a zero coefficient
     cut the list short).  They converge on both Joukowski sheets, so
     continuing through the support cut only requires switching the J branch
-    below the axis.  Per evaluation point the approximant is chosen as
-    Wynn's epsilon algorithm would, since successive approximants first
-    approach the limit and then degrade once roundoff or coefficient noise
-    is amplified: the jump of each finite approximant is measured from the
-    last finite one before it (from c_0 for the first), and the choice is
-    the last approximant with the smallest jump.  With no approximants, or
-    no finite one, the partial sum is used.  The derivative is that of the
-    chosen approximant.
+    below the axis.  An even series, whose odd coefficients are all zero,
+    has no [k/k] of its own (c_1 = 0 breaks the list at once); it is
+    evaluated as S(w) = T(w^2) with the approximants of the series
+    T(v) = sum_j c_2j v^j, which ``approximant_count`` and ``breakdown``
+    then describe.
+
+    Per evaluation point the approximant is chosen as Wynn's epsilon
+    algorithm would, since successive approximants first approach the limit
+    and then degrade once roundoff or coefficient noise is amplified: the
+    jump of each finite approximant is measured from the last finite one
+    before it (from c_0 for the first), and the choice is the last
+    approximant with the smallest jump.  With no approximants, or no finite
+    one, the partial sum is used.  The derivative is that of the chosen
+    approximant.  Each point's value is independent of the other points in
+    the call.
 
     Trailing zero coefficients (the tail cut by ``truncate_tail``) are
     dropped first: they leave the series and its approximants unchanged,
@@ -163,14 +170,16 @@ class ChebyshevPadeEvaluator:
         coeffs = model.psi
         nonzero = np.flatnonzero(coeffs)
         self.coeffs = coeffs[: nonzero[-1] + 1 if nonzero.size else 1]
-        self._num, self._den, self.breakdown = _diagonal_pade(self.coeffs)
+        self._even = not np.any(self.coeffs[1::2])
+        series = self.coeffs[::2] if self._even else self.coeffs
+        self._num, self._den, self.breakdown = _diagonal_pade(series)
         self.approximant_count = self._num.shape[0] - 1
-        orders = np.arange(1, self.coeffs.size)
+        orders = np.arange(1, series.size)
         self._dnum = self._num[:, 1:] * orders
         self._dden = self._den[:, 1:] * orders
 
     def _chosen(self, z, branch):
-        """Flat (w, u, powers of w, chosen index, its value R(w), its denominator)."""
+        """Flat (w, u, powers of the series variable, chosen index, its value R, its denominator)."""
         u = _affine_to_unit(np.asarray(z, dtype=complex), self.support).ravel()
         if branch == "principal":
             w = joukowski_inverse(u)
@@ -178,14 +187,19 @@ class ChebyshevPadeEvaluator:
             w = _joukowski_second_sheet(u)
         else:
             raise InputError(f"unknown branch {branch!r}")
-        powers = np.vander(w, self.coeffs.size, increasing=True)
-        num = powers @ self._num.T
-        den = powers @ self._den.T
+        v = w * w if self._even else w
+        # One row would take numpy's matrix-vector product, whose last bits
+        # differ from the matrix-matrix product of a batch; a second copy of
+        # the row keeps each point's value independent of its batch.
+        n = v.size
+        powers = np.vander(np.repeat(v, 2) if n == 1 else v, self._num.shape[1], increasing=True)
+        num = (powers @ self._num.T)[:n]
+        den = (powers @ self._den.T)[:n]
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             vals = num / den
             chosen = _wynn_choice(vals, self.coeffs[0])
-        rows = np.arange(w.size)
-        return w, u, powers, chosen, vals[rows, chosen], den[rows, chosen]
+        rows = np.arange(n)
+        return w, u, powers[:n], chosen, vals[rows, chosen], den[rows, chosen]
 
     def evaluate(self, z, branch="secondary"):
         w, _, _, _, r, _ = self._chosen(z, branch)
@@ -198,6 +212,8 @@ class ChebyshevPadeEvaluator:
         dnum = np.einsum("ij,ij->i", powers[:, :-1], self._dnum[chosen])
         dden = np.einsum("ij,ij->i", powers[:, :-1], self._dden[chosen])
         dr = (dnum - r * dden) / den
+        if self._even:
+            dr = 2.0 * w * dr  # d/dw T(w^2) = 2 w T'(w^2)
         lo, hi = self.support
         out = -np.pi * (r + w * dr) * w / (w - u) * (2.0 / (hi - lo))
         out = out.reshape(np.shape(z))

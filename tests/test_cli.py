@@ -214,6 +214,17 @@ def test_decompress_non_finite_input_exits_2(tmp_path, capsys):
     assert not (tmp_path / "d.csv").exists()
 
 
+def test_fit_non_finite_eigenvalue_exits_2(tmp_path, capsys):
+    # bad input named as such: not a NaN model with exit 0, nor a support error
+    for value in ("inf", "nan"):
+        path = tmp_path / f"{value}.txt"
+        path.write_text(f"0.5\n1.0\n{value}\n")
+        code = main(["fit", "--eigs", str(path), "-o", str(tmp_path / "m.json")])
+        assert code == 2
+        assert f"eigenvalue {value} is not finite" in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_metrics_command(tmp_path, capsys):
     x = np.linspace(0.0, 1.0, 257)
     save_density_csv(tmp_path / "a.csv", x, np.ones_like(x))

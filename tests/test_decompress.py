@@ -432,14 +432,32 @@ def test_semigroup_composition():
     assert _tv_vs_law(res_b, marchenko_pastur_law(8 / 50)) <= 0.05
 
 
+def test_pade_even_series_kesten_mckay_x2():
+    # every odd coefficient of the symmetric law is zero, so c_1 = 0 leaves
+    # the series in w without approximants; those of the series in w^2 give
+    # the decompressed law's identities
+    law = kesten_mckay_law(4)
+    model = _exact_model(law, k_max=50)
+    model = DensityModel(support=model.support, basis="chebyshev-u",
+                         psi=np.where(np.arange(model.psi.size) % 2 == 0, model.psi, 0.0))
+    ev = ChebyshevPadeEvaluator(model)
+    assert ev.approximant_count > 0 and not ev.breakdown
+    res = decompress_density(DecompressionRequest(evaluator=ev, ratio=2.0))
+    assert not res.failed.any()
+    mass = res.mass()
+    mean = np.trapezoid(res.grid * res.density, res.grid) / mass
+    variance = np.trapezoid((res.grid - mean) ** 2 * res.density, res.grid) / mass
+    assert abs(mass - 1.0) <= 0.01
+    assert abs(variance - 8.0) <= 0.02 * 8.0
+
+
 # ---------------------------------------------------------------------------
 # support tracking
 
 
-def test_batched_newton_matches_single_point_solves():
+def _assert_batched_newton_matches_single_point_solves(ev):
     # The support-edge search solves unrelated points in one call; each must
     # get exactly what solving it alone would, converged or not.
-    ev = LawEvaluator(marchenko_pastur_law(1 / 50))
     t = np.log(8.0)  # MP(8/50): support (0.36, 1.96)
     x = np.array([0.05, 0.2, 0.34, 0.36, 0.37, 0.5, 1.0, 1.5, 1.9, 1.96, 1.97, 2.2, 3.0])
     targets = x + 1j * 1e-4 * dc._default_delta(ev)
@@ -450,6 +468,15 @@ def test_batched_newton_matches_single_point_solves():
             alone = dc._newton(ev, targets[k : k + 1], t, z0[k : k + 1], 1e-12, 60)
             for got, want in zip(batch, alone):
                 assert got[k] == want[0]
+
+
+def test_batched_newton_matches_single_point_solves():
+    _assert_batched_newton_matches_single_point_solves(LawEvaluator(marchenko_pastur_law(1 / 50)))
+
+
+def test_batched_newton_matches_single_point_solves_pade():
+    model = _exact_model(marchenko_pastur_law(1 / 50), k_max=20)
+    _assert_batched_newton_matches_single_point_solves(ChebyshevPadeEvaluator(model))
 
 
 def test_track_support_edge_search_batched(monkeypatch):

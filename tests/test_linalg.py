@@ -110,6 +110,9 @@ def test_spectrum_sample_validation():
         SpectrumSample(np.array([2.0, 1.0]), 2)
     with pytest.raises(InputError):
         SpectrumSample(np.array([1.0, 2.0]), 3)
+    for value in ("inf", "nan"):
+        with pytest.raises(InputError, match=f"eigenvalue {value} is not finite"):
+            SpectrumSample(np.array([1.0, 2.0, float(value)]), 3)
 
 
 def test_submatrix_full_size_is_permutation():
