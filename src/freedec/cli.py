@@ -4,9 +4,10 @@ Subcommands: ``sample`` (ensemble eigenvalues), ``fit`` (density model from
 an eigenvalue file), ``decompress`` (evolve a model to a larger dimension),
 ``metrics`` (compare two density files).  Every stochastic command requires
 an explicit ``--seed``; results are byte-reproducible.  ``decompress``
-writes the density CSV plus a ``.diag.json`` sidecar with the solver's
-residual, iteration, failure and degraded counts, the model's fit flags and
-the evaluator's Pade approximant count and breakdown flag.
+writes the density CSV plus a ``.diag.json`` sidecar with the failed-point
+count, the order of the Pade approximant the decompression chose and the
+count of its harmless branch points, the model's fit flags and the
+evaluator's Pade approximant count and breakdown flag.
 """
 
 from __future__ import annotations
@@ -140,16 +141,16 @@ def _cmd_decompress(args):
     result = dc.decompress_density(request)
     good = ~result.failed
     fio.save_density_csv(args.output, result.grid[good], np.maximum(result.density[good], 0.0))
+    followed = result.decompressed  # None at ratio 1
     diag = {
         "ratio": result.ratio,
         "delta": result.delta,
         "support": list(result.support),
         "mass": result.mass(),
         "failed_points": int(result.failed.sum()),
-        "degraded_points": int(result.degraded.sum()),
         "grid_points": int(result.grid.size),
-        "max_residual": float(np.nanmax(result.residuals)),
-        "max_iterations": int(result.iterations.max()),
+        "pade_order": None if followed is None else followed.order,
+        "harmless_branch_points": 0 if followed is None else followed.harmless_branch_points,
         "pade_approximants": evaluator.approximant_count,
         "pade_breakdown": evaluator.breakdown,
         "k_eff": model.meta.get("k_eff"),

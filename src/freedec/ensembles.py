@@ -64,6 +64,10 @@ class EnsembleLaw:
     def width(self):
         return self.support[1] - self.support[0]
 
+    def stieltjes(self, z):
+        """The principal transform, as ``law_stieltjes``."""
+        return law_stieltjes(self, z)
+
 
 def _atoms_from_quadratic(p, q, support):
     """Point masses sit at real zeros of Q outside the open support.
@@ -251,18 +255,6 @@ def law_stieltjes(law, z, branch="principal"):
     """
     z = np.asarray(z, dtype=complex)
     out = _stieltjes_from_pq(law.p, law.q, z, branch)
-    return out if out.ndim else complex(out)
-
-
-def law_stieltjes_derivative(law, z, branch="principal"):
-    """dm/dz by implicit differentiation of the quadratic identity."""
-    z = np.asarray(z, dtype=complex)
-    m = _stieltjes_from_pq(law.p, law.q, z, branch)
-    pv = npoly.polyval(z, np.asarray(law.p, dtype=complex))
-    qv = npoly.polyval(z, np.asarray(law.q, dtype=complex))
-    dp = npoly.polyval(z, npoly.polyder(np.asarray(law.p, dtype=complex)))
-    dq = npoly.polyval(z, npoly.polyder(np.asarray(law.q, dtype=complex)))
-    out = (dp * m - dq * m * m) / (2.0 * qv * m - pv)
     return out if out.ndim else complex(out)
 
 

@@ -7,24 +7,28 @@ density:
   expansion of rho turns the transform into a power series in the inverse
   Joukowski variable.  Its diagonal Pade approximants, solved once per
   model, keep working outside the series' disk of convergence, which gives
-  the second-sheet continuation used by the characteristic solver for free.
+  the second-sheet continuation for free.
 * Law: the closed-form transform of a benchmark ensemble law.
 
 All evaluators share the same interface: ``evaluate(z, branch)`` with branch
 'principal' (cut on the support) or 'secondary' (continued through the cut,
-discontinuous on the real axis outside it), plus ``derivative`` for Newton
-solvers, and ``density`` for the underlying model.  The law evaluator also
-offers ``decompressed(ratio)``, the decompressed law in closed form; it
-raises ``InputError`` for a ratio outside the law's decompression domain.
+discontinuous on the real axis outside it), ``density`` for the underlying
+model, and ``decompressed(ratio)``, the decompressed transform with its
+support.  For a law that is the decompressed law in closed form; for a
+fitted model it is the followed root of one Pade approximant's
+characteristic polynomial (``FollowedRoot``).  Both raise ``InputError``
+for a ratio outside the decompression domain.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 
 from . import ensembles
+from .decompress import _auto_grid, _default_delta
 from .density_fit import _affine_to_unit
-from .errors import InputError
+from .errors import InputError, NumericalError
 
 __all__ = [
     "joukowski",
@@ -73,6 +77,16 @@ def _joukowski_second_sheet(z):
 # ----------------------------------------------------------------------
 # evaluators
 
+_TOP = 100.0  # start of the root follow, in source widths times the ratio
+_TOP_NEWTON = 4  # Newton steps from w = 0 at the top
+_HEIGHTS = 20  # geometric heights of the follow from the top to the target
+_REFINE = 4  # how much finer the second follow of a flagged point steps
+_POLISH = 30  # Newton steps onto a singular point the follow may have reached
+_PROBE = 201  # points of the support probe
+_PROBE_HEIGHT = 3e-3  # its height above the axis, in units of the evaluation offset delta
+_SUPPORT_THRESHOLD = 1e-4  # support = where the density exceeds this fraction of its peak
+_MASS_TOL = 1e-2  # largest mass error of an admissible approximant
+
 
 def _diagonal_pade(coeffs):
     """Diagonal Pade approximants [k/k] of the power series sum_i c_i w^i.
@@ -105,34 +119,6 @@ def _diagonal_pade(coeffs):
     return num, den, count < k_max
 
 
-def _wynn_choice(vals, c0):
-    """The approximant Wynn's jump rule picks at each point (row) of ``vals``.
-
-    Column 0 of ``vals`` is the partial sum and column k the value of [k/k].
-    The jump of a finite approximant is its distance from the last finite
-    approximant before it, or from c_0 for the first; a non-finite
-    approximant has none.  The choice is the last approximant with the
-    smallest jump, or 0 at a point without a jump.  That is where a sweep
-    over k ends that takes each approximant whose jump is no larger than
-    every earlier one.
-    """
-    count = vals.shape[1] - 1
-    seq = np.empty((count + 1, vals.shape[0]), dtype=complex)  # c_0, then one row per [k/k]
-    seq[0] = c0
-    seq[1:] = vals[:, 1:].T
-    finite = np.isfinite(seq)
-    ks = np.arange(count + 1)[:, np.newaxis]
-    prev = seq[:-1]
-    if not finite.all():
-        # the last finite value before each row, c_0 counting as finite; the
-        # accumulate is the costliest step, so it runs only when needed
-        last = np.maximum.accumulate(np.where(finite, ks, 0), axis=0)
-        prev = np.take_along_axis(seq, last[:-1], axis=0)
-    jump = np.where(finite[1:], np.abs(seq[1:] - prev), np.nan)
-    smallest = np.fmin.reduce(jump, axis=0, initial=np.nan)
-    return np.maximum.reduce(np.where(jump == smallest, ks[1:], 0), axis=0, initial=0)
-
-
 class ChebyshevPadeEvaluator:
     """Second-sheet Stieltjes evaluator for Chebyshev-U density models.
 
@@ -147,15 +133,10 @@ class ChebyshevPadeEvaluator:
     T(v) = sum_j c_2j v^j, which ``approximant_count`` and ``breakdown``
     then describe.
 
-    Per evaluation point the approximant is chosen as Wynn's epsilon
-    algorithm would, since successive approximants first approach the limit
-    and then degrade once roundoff or coefficient noise is amplified: the
-    jump of each finite approximant is measured from the last finite one
-    before it (from c_0 for the first), and the choice is the last
-    approximant with the smallest jump.  With no approximants, or no finite
-    one, the partial sum is used.  The derivative is that of the chosen
-    approximant.  Each point's value is independent of the other points in
-    the call.
+    ``evaluate`` uses the deepest approximant (the partial sum when there
+    is none), pointwise, so a point's value does not depend on the other
+    points in the call.  ``decompressed(ratio)`` chooses the approximant a
+    decompression uses.
 
     Trailing zero coefficients (the tail cut by ``truncate_tail``) are
     dropped first: they leave the series and its approximants unchanged,
@@ -174,12 +155,8 @@ class ChebyshevPadeEvaluator:
         series = self.coeffs[::2] if self._even else self.coeffs
         self._num, self._den, self.breakdown = _diagonal_pade(series)
         self.approximant_count = self._num.shape[0] - 1
-        orders = np.arange(1, series.size)
-        self._dnum = self._num[:, 1:] * orders
-        self._dden = self._den[:, 1:] * orders
 
-    def _chosen(self, z, branch):
-        """Flat (w, u, powers of the series variable, chosen index, its value R, its denominator)."""
+    def evaluate(self, z, branch="secondary"):
         u = _affine_to_unit(np.asarray(z, dtype=complex), self.support).ravel()
         if branch == "principal":
             w = joukowski_inverse(u)
@@ -187,40 +164,230 @@ class ChebyshevPadeEvaluator:
             w = _joukowski_second_sheet(u)
         else:
             raise InputError(f"unknown branch {branch!r}")
-        v = w * w if self._even else w
-        # One row would take numpy's matrix-vector product, whose last bits
-        # differ from the matrix-matrix product of a batch; a second copy of
-        # the row keeps each point's value independent of its batch.
-        n = v.size
-        powers = np.vander(np.repeat(v, 2) if n == 1 else v, self._num.shape[1], increasing=True)
-        num = (powers @ self._num.T)[:n]
-        den = (powers @ self._den.T)[:n]
+        k = self.approximant_count
+        # far from the support the powers overflow; such points come out non-finite
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            vals = num / den
-            chosen = _wynn_choice(vals, self.coeffs[0])
-        rows = np.arange(n)
-        return w, u, powers[:n], chosen, vals[rows, chosen], den[rows, chosen]
-
-    def evaluate(self, z, branch="secondary"):
-        w, _, _, _, r, _ = self._chosen(z, branch)
-        out = (-np.pi * w * r).reshape(np.shape(z))
-        return out if out.ndim else complex(out)
-
-    def derivative(self, z, branch="secondary"):
-        """dm/dz = -pi (R + w R') w / (w - u) * 2 / (hi - lo) for the chosen approximant R."""
-        w, u, powers, chosen, r, den = self._chosen(z, branch)
-        dnum = np.einsum("ij,ij->i", powers[:, :-1], self._dnum[chosen])
-        dden = np.einsum("ij,ij->i", powers[:, :-1], self._dden[chosen])
-        dr = (dnum - r * dden) / den
-        if self._even:
-            dr = 2.0 * w * dr  # d/dw T(w^2) = 2 w T'(w^2)
-        lo, hi = self.support
-        out = -np.pi * (r + w * dr) * w / (w - u) * (2.0 / (hi - lo))
+            v = w * w if self._even else w
+            out = -np.pi * w * npoly.polyval(v, self._num[k]) / npoly.polyval(v, self._den[k])
         out = out.reshape(np.shape(z))
         return out if out.ndim else complex(out)
 
     def density(self, x):
         return self.model.density(x)
+
+    def _in_w(self, k):
+        """Numerator and denominator of [k/k] as polynomials in w (low degree first)."""
+        num, den = (np.trim_zeros(p, "b") if p.any() else p[:1] for p in (self._num[k], self._den[k]))
+        if self._even:
+            num, den = (np.ravel(np.column_stack([p, np.zeros_like(p)]))[:-1] for p in (num, den))
+        return num, den
+
+    def decompressed(self, ratio):
+        """The decompressed transform of the deepest admissible approximant.
+
+        Approximants are tried deepest first (``FollowedRoot.admissible``).
+        Raises ``InputError`` when none passes: the model has no
+        decompression by ``ratio``.
+        """
+        if not np.isfinite(self.coeffs).all():
+            raise NumericalError("decompression failed: the model has non-finite coefficients")
+        r = float(ratio)
+        delta = _default_delta(self)
+        for k in range(self.approximant_count, -1, -1):
+            followed = FollowedRoot(*self._in_w(k), self.support, r, k)
+            if followed.admissible(delta):
+                return followed
+        raise InputError(f"ratio {r:g} is outside the decompression domain of the model: "
+                         "no Pade approximant gives a decompressed transform")
+
+
+class FollowedRoot:
+    """The decompressed transform of one Pade approximant S = N/D.
+
+    With c and h the centre and half-width of the source support and
+    a = r - 1, the characteristic equation x' = z - a / m(z) at a target x'
+    is, in the Joukowski variable w (z = c + h (w + 1/w) / 2, m = -pi w S),
+    the polynomial
+
+        P(w) = pi N(w) (h w^2 + 2 (c - x') w + h) + 2 a D(w) = A(w) - x' B(w).
+
+    High above the axis the physical root is the one with the smallest
+    |w|, where z ~ x'.  ``stieltjes`` reaches it by Newton steps from
+    w = 0 at height ``_TOP`` r source widths, then follows it down the
+    vertical line through ``_HEIGHTS`` geometric heights: at each, an Euler
+    step in x' (taken in 1/w) and three Newton steps on P.  A point whose
+    Newton steps once moved it more than half its Euler step, or that ends
+    unconverged, is followed again through ``_REFINE`` times as many
+    heights.  The decompressed transform is m' = m(z) / r =
+    -pi w N(w) / (r D(w)).
+
+    ``order`` is k; ``support`` and ``harmless_branch_points`` are set by
+    ``admissible``.
+    """
+
+    def __init__(self, num, den, source_support, ratio, order):
+        lo, hi = source_support
+        c, h, a = 0.5 * (lo + hi), 0.5 * (hi - lo), ratio - 1.0
+        self.num, self.den, self.ratio, self.order = num, den, ratio, order
+        self.support, self.harmless_branch_points = None, 0
+        self._centre, self._half, self._a = c, h, a
+        self._top = _TOP * ratio * (hi - lo)
+        big = npoly.polyadd(np.pi * npoly.polymul(num, [h, 2.0 * c, h]), 2.0 * a * den)
+        small = 2.0 * np.pi * npoly.polymulx(num)
+        # coefficients of A, A', B and B', one column each (low degree first)
+        table = np.zeros((big.size, 4), dtype=complex)
+        for col, p in enumerate((big, npoly.polyder(big), small, npoly.polyder(small))):
+            table[: p.size, col] = p
+        self._table = table
+
+    def _values(self, w):
+        """A, A', B and B' at the points of the 1-d array w."""
+        return (np.vander(w, self._table.shape[0], increasing=True) @ self._table).T
+
+    def _heights(self, y, count):
+        steps = np.arange(count + 1)[:, np.newaxis] / count
+        return y * (self._top / y) ** (1.0 - steps)
+
+    def _follow(self, x, y, count=_HEIGHTS, refine=True):
+        """The followed root at x + i y (1-d arrays of one shape, y > 0)."""
+        heights = self._heights(y, count)
+        w = np.zeros(x.shape, dtype=complex)
+        xp = x + 1j * heights[0]
+        with np.errstate(all="ignore"):
+            for _ in range(_TOP_NEWTON):
+                big, dbig, small, dsmall = self._values(w)
+                w = w - (big - xp * small) / (dbig - xp * dsmall)
+            rough = np.zeros(x.shape, dtype=bool)
+            for height in heights[1:]:
+                xn = x + 1j * height
+                # the derivative at the last Newton iterate, one step short of w
+                step = small / (dbig - xp * dsmall) * (xn - xp)
+                guess = w * w / (w - step)  # the Euler step taken in 1/w, exact for w ~ 1/x'
+                wn = guess
+                for _ in range(3):
+                    big, dbig, small, dsmall = self._values(wn)
+                    newton = (big - xn * small) / (dbig - xn * dsmall)
+                    wn = wn - newton
+                rough |= ~(np.abs(wn - guess) <= 0.5 * np.abs(guess - w) + 1e-9 * (1.0 + np.abs(wn)))
+                w, xp = wn, xn
+            again = rough | ~(np.abs(newton) <= 1e-8 * (1.0 + np.abs(w)))
+        if refine and again.any():
+            w[again] = self._follow(x[again], y[again], _REFINE * count, refine=False)
+        return w
+
+    def _transform(self, w):
+        with np.errstate(all="ignore"):
+            return -np.pi * w * npoly.polyval(w, self.num) / (self.ratio * npoly.polyval(w, self.den))
+
+    def stieltjes(self, z):
+        """The decompressed transform m' at points of the open upper half-plane."""
+        z = np.asarray(z, dtype=complex)
+        out = self._transform(self._follow(z.real.ravel(), z.imag.ravel())).reshape(z.shape)
+        return out if out.ndim else complex(out)
+
+    def _density(self, x, y):
+        return self._transform(self._follow(x, np.full(x.shape, y))).imag / np.pi
+
+    def _probe(self, y):
+        """The contiguous run above ``_SUPPORT_THRESHOLD`` of the peak around
+        the peak, on ``_PROBE`` points at height y, doubled in width until the
+        density decays at both ends: (points, index of the last point below
+        the threshold on each side, threshold), or None without decay."""
+        half = max(self.ratio, 1.0) * self._half
+        for _ in range(4):
+            xs = self._centre + half * np.linspace(-1.0, 1.0, _PROBE)
+            dens = self._density(xs, y)
+            thresh = _SUPPORT_THRESHOLD * dens.max()
+            if not (np.isfinite(dens).all() and thresh > 0):
+                return None
+            above = dens > thresh
+            if not (above[0] or above[-1]):
+                peak = int(np.argmax(dens))
+                below = np.flatnonzero(~above)
+                return xs, below[below < peak][-1], below[below > peak][0], thresh
+            half *= 2.0
+        return None
+
+    def _edges(self, xs, first, last, thresh, y):
+        """The probe's run edges, each refined to 64^-4 of the probe spacing."""
+        ends = np.array([[xs[first], xs[first + 1]], [xs[last], xs[last - 1]]])  # [outside, inside]
+        frac = np.linspace(0.0, 1.0, 65)
+        edge = np.arange(2)
+        for _ in range(4):
+            pts = ends[:, :1] + frac * (ends[:, 1:] - ends[:, :1])
+            inside = self._density(pts[:, 1:-1].ravel(), y).reshape(2, -1) > thresh
+            j = 1 + np.argmax(np.column_stack([inside, np.ones(2, dtype=bool)]), axis=1)
+            ends = np.column_stack([pts[edge, j - 1], pts[edge, j]])
+        lo, hi = ends.mean(axis=1)
+        return (float(lo), float(hi))
+
+    def _singular_points(self):
+        """Branch points and poles of the decompressed transform, in w, and
+        their images x'(w)."""
+        num, den, h, a = self.num, self.den, self._half, self._a
+        wronskian = npoly.polysub(npoly.polymul(npoly.polyder(den), num),
+                                  npoly.polymul(den, npoly.polyder(num)))
+        crit = npoly.polyadd(
+            np.pi * h * npoly.polymul([-1.0, 0.0, 1.0], npoly.polymul(num, num)),
+            2.0 * a * npoly.polysub(npoly.polymulx(wronskian), npoly.polymul(den, num)),
+        )
+        points = np.concatenate([npoly.polyroots(np.trim_zeros(p, "b")) for p in (crit, den)])
+        with np.errstate(all="ignore"):
+            image = (self._centre + 0.5 * h * (points + 1.0 / points)
+                     + a * npoly.polyval(points, den) / (np.pi * points * npoly.polyval(points, num)))
+        return points, image
+
+    def _reached(self, points, image):
+        """Whether the followed root at each image is its singular point.
+
+        At its image a branch point is a double root of P, where the follow
+        ends only roughly; Newton steps there close in on it (halving the
+        distance each), else stay on the simple root the follow took.  A
+        follow lost on the way counts as reaching."""
+        w = self._follow(image.real, image.imag, refine=False)
+        with np.errstate(all="ignore"):
+            for _ in range(_POLISH):
+                big, dbig, small, dsmall = self._values(w)
+                w = w - (big - image * small) / (dbig - image * dsmall)
+        return ~(np.abs(w - points) > 1e-4 * (1.0 + np.abs(points)))
+
+    def admissible(self, delta):
+        """Whether this approximant's decompressed transform is usable.
+
+        The branch points of the inverse map x'(w) = c + h (w + 1/w) / 2 +
+        a D / (pi w N) are the zeros of
+        pi h (w^2 - 1) N^2 + 2 a (w D' N - D N - w D N'), and the zeros of D
+        are poles of m'.  Images within ``delta`` of the axis are support
+        edges and atoms; above it, a singular point the followed root
+        reaches makes m' no Stieltjes transform of a density there.
+        Admissible means: the density at height ``_PROBE_HEIGHT`` delta
+        decays on the probe (``_probe``); no reached singular point lies above the
+        probe's run (those beyond it are ``harmless_branch_points``); and
+        the density at height ``delta`` on the auto grid has mass
+        1 +- ``_MASS_TOL``.  Without a reached singular point the followed
+        branch is analytic above ``delta``, and a grid mass off 1 can only
+        be an atom's Lorentzian narrower than the grid spacing, so the mass
+        is counted again on a grid of spacing delta / 2.
+        """
+        y = _PROBE_HEIGHT * delta
+        probe = self._probe(y)
+        if probe is None:
+            return False
+        xs, first, last, thresh = probe
+        points, image = self._singular_points()
+        keep = np.isfinite(image) & (image.imag > delta)
+        reached = self._reached(points[keep], image[keep])
+        beyond = (image[keep].real < xs[first]) | (image[keep].real > xs[last])
+        if (reached & ~beyond).any():
+            return False
+        self.harmless_branch_points = int(reached.sum())
+        self.support = self._edges(xs, first, last, thresh, y)
+        grid = _auto_grid(self.support)
+        mass = np.trapezoid(self._density(grid, delta), grid)
+        if abs(mass - 1.0) > _MASS_TOL and not self.harmless_branch_points:
+            grid = np.linspace(grid[0], grid[-1], int((grid[-1] - grid[0]) / (0.5 * delta)) + 1)
+            mass = np.trapezoid(self._density(grid, delta), grid)
+        return bool(abs(mass - 1.0) <= _MASS_TOL)
 
 
 class LawEvaluator:
@@ -235,15 +402,11 @@ class LawEvaluator:
     def evaluate(self, z, branch="secondary"):
         return ensembles.law_stieltjes(self.law, z, branch)
 
-    def derivative(self, z, branch="secondary"):
-        return ensembles.law_stieltjes_derivative(self.law, z, branch)
-
     def density(self, x):
         return ensembles.law_density(self.law, x)
 
     def decompressed(self, ratio):
-        """The decompressed law in closed form; ``decompress_density`` uses it
-        in place of the characteristic solve."""
+        """The decompressed law in closed form (``support``, ``stieltjes``)."""
         return ensembles.decompressed_law(self.law, ratio)
 
 

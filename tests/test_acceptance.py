@@ -16,6 +16,7 @@ from freedec import (
     ChebyshevPadeEvaluator,
     DecompressionRequest,
     DensityModel,
+    InputError,
     LawEvaluator,
     chebyshev_coefficients_from_grid,
     decompress_density,
@@ -86,7 +87,7 @@ def mp_pipeline():
                 "js": jensen_shannon(xs, ds, target),
                 "logdet": log_determinant(xs[pos], ds[pos], 32000),
                 "failed": int(result.failed.sum()),
-                "degraded": int(result.degraded.sum()),
+                "order": result.decompressed.order,
                 "mass": result.mass(),
             }
         )
@@ -126,21 +127,19 @@ def test_log_determinant(mp_pipeline):
 
 
 def test_mp_pipeline_solves_every_point(mp_pipeline):
-    """Seeds 1-4: no failed grid point, and the solved points carry mass 1 +- 5%.
+    """Seeds 0-4: no failed grid point, and the solved points carry mass 1 +- 5%.
 
-    This guards the characteristic solve's rescue stages: without the
-    perturbed start, the final re-seed or the x10/x100 lifts, a seed in 1-4
-    fails points or loses mass.  Seed 0 is exempt: its support tracking reads
-    unconverged probes as zero density (a known fault), and 57 of its margin
-    points fail.
+    This guards the choice of the approximant whose root is followed: on
+    seeds 2 and 4 the deepest one reaches a branch point above the support,
+    and its density has mass 1.117 and 0.980.
     """
     rows = mp_pipeline["rows"]
-    ok = all(r["failed"] == 0 and abs(r["mass"] - 1.0) <= 0.05 for r in rows[1:])
+    ok = all(r["failed"] == 0 and abs(r["mass"] - 1.0) <= 0.05 for r in rows)
     _verdict(
         "MP x32 solves every point",
         ok,
         "; ".join(
-            f"seed {seed}: failed={r['failed']}, degraded={r['degraded']}, mass={r['mass']:.4f}"
+            f"seed {seed}: failed={r['failed']}, [{r['order']}/{r['order']}], mass={r['mass']:.4f}"
             for seed, r in enumerate(rows)
         ),
     )
@@ -346,8 +345,9 @@ def test_stability_growth():
 def test_ill_conditioned_ingestion():
     """Synthetic 5000x5000 Gram matrix spanning 1e8 condition number.
 
-    Stand-in for the external-data scale runs: the pipeline must complete
-    and hold the mass and positivity invariants.
+    Stand-in for the external-data scale runs: the fit must hold the mass
+    and positivity invariants, and the x5 decompression, which no Pade
+    approximant of the fit gives, must raise as out of domain.
     """
     n = 5000
     lam = np.geomspace(1e-4, 1e4, n)
@@ -366,19 +366,18 @@ def test_ill_conditioned_ingestion():
     sample = eigenvalues_symmetric(sub)
     model = fit_density(sample)
     grid = np.linspace(model.support[0], model.support[1], 2048)
-    res = decompress_density(
-        DecompressionRequest(evaluator=ChebyshevPadeEvaluator(model), ratio=5.0)
-    )
+    with pytest.raises(InputError, match="domain") as err:
+        decompress_density(
+            DecompressionRequest(evaluator=ChebyshevPadeEvaluator(model), ratio=5.0)
+        )
     ok = (
         model.mass() == pytest.approx(1.0, abs=1e-6)
         and model.density(grid).min() >= -1e-9
-        and np.nanmin(res.density) >= -1e-9
-        and res.failed.mean() <= 0.5
     )
     _verdict(
         "ill-conditioned ingestion",
         bool(ok),
         f"cond={lam[-1]/lam[0]:.1e}, mass={model.mass():.8f}, "
-        f"min density={model.density(grid).min():.2e}, failures={int(res.failed.sum())}",
+        f"min density={model.density(grid).min():.2e}, x5: {err.value}",
     )
     assert ok

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from freedec import DensityModel, InputError
+from freedec import ChebyshevPadeEvaluator, DensityModel, InputError
 from freedec.cli import _build_parser, main
 from freedec.io import (
     load_density_csv,
@@ -119,7 +119,7 @@ def test_fit_and_decompress_roundtrip(tmp_path, capsys):
     assert np.max(np.abs(d - np.maximum(model.density(x), 0.0))) <= 1e-12
     diag = json.loads((tmp_path / "dens.diag.json").read_text())
     assert diag["failed_points"] == 0
-    assert diag["degraded_points"] == 0
+    assert (diag["pade_order"], diag["harmless_branch_points"]) == (None, 0)
     assert diag["ratio"] == 1.0
     assert diag["k_eff"] == model.meta["k_eff"]
     # a fit with no exactly zero kept coefficient gets every [k/k] up to its order
@@ -127,6 +127,16 @@ def test_fit_and_decompress_roundtrip(tmp_path, capsys):
     assert (diag["pade_approximants"], diag["pade_breakdown"]) == ((n_coeffs - 1) // 2, False)
     assert (diag["repaired"], diag["repair_warning"], diag["degenerate_support"]) == (
         model.repaired, model.repair_warning, model.degenerate_support)
+
+    # above ratio 1 the sidecar names the approximant the decompression chose
+    assert main(
+        ["decompress", "--model", str(model_path), "--ratio", "4", "-o", str(dens_path)]
+    ) == 0
+    diag = json.loads((tmp_path / "dens.diag.json").read_text())
+    followed = ChebyshevPadeEvaluator(model).decompressed(4.0)
+    assert (diag["pade_order"], diag["harmless_branch_points"]) == (
+        followed.order, followed.harmless_branch_points)
+    assert 0 <= diag["pade_order"] <= diag["pade_approximants"]
 
 
 def test_fit_k0_single_coefficient(tmp_path):
