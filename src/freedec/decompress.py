@@ -83,15 +83,18 @@ class DecompressionResult:
         return float(np.trapezoid(np.where(self.failed, 0.0, self.density), self.grid))
 
 
-def _default_delta(evaluator):
-    # scale-aware, capped so wide spectra still satisfy delta in (0, 1)
-    lo, hi = evaluator.support
+def default_delta(support):
+    """The evaluation offset for a source support: 1e-3 of its width, capped
+    so wide spectra still satisfy delta in (0, 1)."""
+    lo, hi = support
     return min(1e-3 * (hi - lo), 0.5)
 
 
-def _auto_grid(support):
-    """``_AUTO_GRID`` Chebyshev-distributed points over the support widened
-    by ``_MARGIN`` of its width, increasing."""
+def auto_grid(support):
+    """The grid of a decompression onto ``support``: ``_AUTO_GRID``
+    Chebyshev-distributed points over it widened by ``_MARGIN`` of its
+    width, increasing.  A fitted model's approximant choice measures its
+    mass on the same grid."""
     lo, hi = support
     pad = 0.5 * _MARGIN * (hi - lo)
     theta = np.pi * (np.arange(_AUTO_GRID) + 0.5) / _AUTO_GRID
@@ -111,14 +114,14 @@ def decompress_density(request):
     """
     ratio = request.resolved_ratio()
     evaluator = request.evaluator
-    delta = request.delta if request.delta is not None else _default_delta(evaluator)
+    delta = request.delta if request.delta is not None else default_delta(evaluator.support)
     if not 0 < delta < 1:
         raise InputError("imaginary offset delta must lie in (0, 1)")
     decompressed = evaluator.decompressed(ratio) if ratio > 1 else None
     support = decompressed.support if decompressed is not None else evaluator.support
 
     if isinstance(request.grid, str) and request.grid == "auto":
-        grid = _auto_grid(support)
+        grid = auto_grid(support)
     else:
         grid = np.asarray(request.grid, dtype=float)
         finite = grid.ndim == 1 and grid.size >= 1 and np.isfinite(grid).all()
@@ -169,17 +172,20 @@ def verify_crossing(evaluator, z, t_max=8.0, dt=0.05):
     phi(t) = z + (e^t - 1) / (e^t m_t(z)), with m_t the transform
     decompressed by e^t, starts at z and descends; the report contains the
     first time t* with Im phi(t*) = 0 (found by bisection) and whether
-    Re phi(t*) lies inside the evaluator's support.
+    Re phi(t*) lies inside the evaluator's support.  A fitted model's
+    approximant is chosen once, at t = dt, so phi is one analytic function
+    of t.
     """
     z = complex(z)
     if z.imag <= 0:
         raise InputError("crossing verification expects z in the open upper half-plane")
     lo, hi = evaluator.support
     width = hi - lo
+    order = getattr(evaluator.decompressed(np.exp(dt)), "order", None)
 
     def phi_at(t):
         r = np.exp(t)
-        return z + (r - 1.0) / (r * complex(evaluator.decompressed(r).stieltjes(z)))
+        return z + (r - 1.0) / (r * complex(evaluator.decompressed(r, order=order).stieltjes(z)))
 
     t_prev, t_cur = 0.0, dt
     while t_cur <= t_max + 1e-12:

@@ -33,7 +33,6 @@ __all__ = [
 
 _SHARED_GRID = 4096
 _HIST_BINS = 64  # histogram cells of the sample-based distances
-_ZERO_MASS = 1e-3  # largest mass at x <= 0 the log-determinant leaves out
 
 
 def _check_pair(x, rho_a, rho_b):
@@ -127,11 +126,9 @@ def moments(x, rho, k_max=4):
 def log_determinant(x, rho, order):
     """Log-determinant estimate n * integral log(x) rho(x) dx.
 
-    Atoms at zero have to be removed before calling: more than
-    ``_ZERO_MASS`` of the mass at x <= 0 raises.  Less is the tail a density
-    evaluated above the real axis has there, and is left out of the
-    integral.  The integrand is refined on a log-spaced grid near the lower
-    edge, where log(x) varies fastest.
+    The support must be strictly positive; atoms at zero have to be removed
+    before calling.  The integrand is refined on a log-spaced grid near the
+    lower edge, where log(x) varies fastest.
     """
     x = np.asarray(x, dtype=float)
     rho = np.asarray(rho, dtype=float)
@@ -140,11 +137,10 @@ def log_determinant(x, rho, order):
     mask = rho > 0
     if not mask.any():
         raise InputError("density has no mass")
-    rho = _normalize(x, rho)
-    low = x <= 1e-12 * max(1.0, x[-1])
-    if np.trapezoid(np.where(low, rho, 0.0), x) > _ZERO_MASS or not (mask & ~low).any():
+    x0 = x[mask][0]
+    if x0 <= 1e-12 * max(1.0, x[-1]):
         raise InputError("support touches zero; exclude atoms before the log-determinant")
-    x0 = x[mask & ~low][0]
+    rho = _normalize(x, rho)
     xs = np.unique(np.concatenate([x, np.geomspace(x0, x[-1], 4096)]))
     xs = xs[xs >= x0]
     rs = np.interp(xs, x, rho)

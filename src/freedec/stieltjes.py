@@ -26,7 +26,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from . import ensembles
-from .decompress import _auto_grid, _default_delta
+from .decompress import auto_grid, default_delta
 from .density_fit import _affine_to_unit
 from .errors import InputError, NumericalError
 
@@ -182,17 +182,20 @@ class ChebyshevPadeEvaluator:
             num, den = (np.ravel(np.column_stack([p, np.zeros_like(p)]))[:-1] for p in (num, den))
         return num, den
 
-    def decompressed(self, ratio):
+    def decompressed(self, ratio, order=None):
         """The decompressed transform of the deepest admissible approximant.
 
         Approximants are tried deepest first (``FollowedRoot.admissible``).
         Raises ``InputError`` when none passes: the model has no
-        decompression by ``ratio``.
+        decompression by ``ratio``.  With ``order``, the followed root of
+        [order/order] is returned unchecked, with no ``support``.
         """
         if not np.isfinite(self.coeffs).all():
             raise NumericalError("decompression failed: the model has non-finite coefficients")
         r = float(ratio)
-        delta = _default_delta(self)
+        if order is not None:
+            return FollowedRoot(*self._in_w(order), self.support, r, order)
+        delta = default_delta(self.support)
         for k in range(self.approximant_count, -1, -1):
             followed = FollowedRoot(*self._in_w(k), self.support, r, k)
             if followed.admissible(delta):
@@ -218,18 +221,19 @@ class FollowedRoot:
     step in x' (taken in 1/w) and three Newton steps on P.  A point whose
     Newton steps once moved it more than half its Euler step, or that ends
     unconverged, is followed again through ``_REFINE`` times as many
-    heights.  The decompressed transform is m' = m(z) / r =
-    -pi w N(w) / (r D(w)).
+    heights; where that still ends unconverged, the transform is NaN.  The
+    decompressed transform is m' = m(z) / r = -pi w N(w) / (r D(w)).
 
     ``order`` is k; ``support`` and ``harmless_branch_points`` are set by
-    ``admissible``.
+    ``admissible``, which keeps the transform on the auto grid it measured
+    the mass on, so a decompression on that grid does not follow it again.
     """
 
     def __init__(self, num, den, source_support, ratio, order):
         lo, hi = source_support
         c, h, a = 0.5 * (lo + hi), 0.5 * (hi - lo), ratio - 1.0
         self.num, self.den, self.ratio, self.order = num, den, ratio, order
-        self.support, self.harmless_branch_points = None, 0
+        self.support, self.harmless_branch_points, self._on_grid = None, 0, None
         self._centre, self._half, self._a = c, h, a
         self._top = _TOP * ratio * (hi - lo)
         big = npoly.polyadd(np.pi * npoly.polymul(num, [h, 2.0 * c, h]), 2.0 * a * den)
@@ -241,7 +245,11 @@ class FollowedRoot:
         self._table = table
 
     def _values(self, w):
-        """A, A', B and B' at the points of the 1-d array w."""
+        """A, A', B and B' at the points of the 1-d array w.  One point is
+        padded to two: numpy takes its matrix-vector route for a single row,
+        whose last bits differ from a batch's."""
+        if w.size == 1:
+            return self._values(np.concatenate([w, w]))[:, :1]
         return (np.vander(w, self._table.shape[0], increasing=True) @ self._table).T
 
     def _heights(self, y, count):
@@ -249,7 +257,8 @@ class FollowedRoot:
         return y * (self._top / y) ** (1.0 - steps)
 
     def _follow(self, x, y, count=_HEIGHTS, refine=True):
-        """The followed root at x + i y (1-d arrays of one shape, y > 0)."""
+        """The followed root at x + i y (1-d arrays of one shape, y > 0), and
+        where its last Newton step converged."""
         heights = self._heights(y, count)
         w = np.zeros(x.shape, dtype=complex)
         xp = x + 1j * heights[0]
@@ -270,29 +279,37 @@ class FollowedRoot:
                     wn = wn - newton
                 rough |= ~(np.abs(wn - guess) <= 0.5 * np.abs(guess - w) + 1e-9 * (1.0 + np.abs(wn)))
                 w, xp = wn, xn
-            again = rough | ~(np.abs(newton) <= 1e-8 * (1.0 + np.abs(w)))
-        if refine and again.any():
-            w[again] = self._follow(x[again], y[again], _REFINE * count, refine=False)
-        return w
+            converged = np.abs(newton) <= 1e-8 * (1.0 + np.abs(w))
+        if refine and (rough | ~converged).any():
+            flagged = np.flatnonzero(rough | ~converged)
+            w[flagged], converged[flagged] = self._follow(
+                x[flagged], y[flagged], _REFINE * count, refine=False)
+        return w, converged
 
     def _transform(self, w):
         with np.errstate(all="ignore"):
             return -np.pi * w * npoly.polyval(w, self.num) / (self.ratio * npoly.polyval(w, self.den))
 
     def stieltjes(self, z):
-        """The decompressed transform m' at points of the open upper half-plane."""
+        """The decompressed transform m' at points of the open upper
+        half-plane; NaN where the follow failed."""
         z = np.asarray(z, dtype=complex)
-        out = self._transform(self._follow(z.real.ravel(), z.imag.ravel())).reshape(z.shape)
+        if self._on_grid is not None and np.array_equal(z, self._on_grid[0]):
+            return self._on_grid[1].copy()
+        w, converged = self._follow(z.real.ravel(), z.imag.ravel())
+        w[~converged] = np.nan
+        out = self._transform(w).reshape(z.shape)
         return out if out.ndim else complex(out)
 
     def _density(self, x, y):
-        return self._transform(self._follow(x, np.full(x.shape, y))).imag / np.pi
+        return self.stieltjes(x + 1j * y).imag / np.pi
 
     def _probe(self, y):
         """The contiguous run above ``_SUPPORT_THRESHOLD`` of the peak around
         the peak, on ``_PROBE`` points at height y, doubled in width until the
         density decays at both ends: (points, index of the last point below
-        the threshold on each side, threshold), or None without decay."""
+        the threshold on each side, threshold), or None without decay or
+        with a failed point."""
         half = max(self.ratio, 1.0) * self._half
         for _ in range(4):
             xs = self._centre + half * np.linspace(-1.0, 1.0, _PROBE)
@@ -344,7 +361,7 @@ class FollowedRoot:
         ends only roughly; Newton steps there close in on it (halving the
         distance each), else stay on the simple root the follow took.  A
         follow lost on the way counts as reaching."""
-        w = self._follow(image.real, image.imag, refine=False)
+        w, _ = self._follow(image.real, image.imag, refine=False)
         with np.errstate(all="ignore"):
             for _ in range(_POLISH):
                 big, dbig, small, dsmall = self._values(w)
@@ -364,10 +381,11 @@ class FollowedRoot:
         decays on the probe (``_probe``); no reached singular point lies above the
         probe's run (those beyond it are ``harmless_branch_points``); and
         the density at height ``delta`` on the auto grid has mass
-        1 +- ``_MASS_TOL``.  Without a reached singular point the followed
-        branch is analytic above ``delta``, and a grid mass off 1 can only
-        be an atom's Lorentzian narrower than the grid spacing, so the mass
-        is counted again on a grid of spacing delta / 2.
+        1 +- ``_MASS_TOL``, failed points counting as zero.  Without a
+        reached singular point the followed branch is analytic above
+        ``delta``, and a grid mass off 1 can only be an atom's Lorentzian
+        narrower than the grid spacing, so the mass is counted again on a
+        grid of spacing delta / 2.
         """
         y = _PROBE_HEIGHT * delta
         probe = self._probe(y)
@@ -382,11 +400,13 @@ class FollowedRoot:
             return False
         self.harmless_branch_points = int(reached.sum())
         self.support = self._edges(xs, first, last, thresh, y)
-        grid = _auto_grid(self.support)
-        mass = np.trapezoid(self._density(grid, delta), grid)
+        grid = auto_grid(self.support)
+        targets = grid + 1j * delta
+        self._on_grid = (targets, self.stieltjes(targets))
+        mass = np.trapezoid(np.nan_to_num(self._on_grid[1].imag / np.pi, nan=0.0), grid)
         if abs(mass - 1.0) > _MASS_TOL and not self.harmless_branch_points:
             grid = np.linspace(grid[0], grid[-1], int((grid[-1] - grid[0]) / (0.5 * delta)) + 1)
-            mass = np.trapezoid(self._density(grid, delta), grid)
+            mass = np.trapezoid(np.nan_to_num(self._density(grid, delta), nan=0.0), grid)
         return bool(abs(mass - 1.0) <= _MASS_TOL)
 
 
@@ -405,8 +425,9 @@ class LawEvaluator:
     def density(self, x):
         return ensembles.law_density(self.law, x)
 
-    def decompressed(self, ratio):
-        """The decompressed law in closed form (``support``, ``stieltjes``)."""
+    def decompressed(self, ratio, order=None):
+        """The decompressed law in closed form (``support``, ``stieltjes``);
+        a law has no approximants, so ``order`` is ignored."""
         return ensembles.decompressed_law(self.law, ratio)
 
 
