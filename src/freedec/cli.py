@@ -63,7 +63,6 @@ def _build_parser():
     group.add_argument("--ratio", type=float, help="target over source dimension")
     group.add_argument("--target-n", type=int, help="target dimension (uses fit n_s)")
     p.add_argument("--grid", default="auto", help="'auto' or lo:hi:count")
-    p.add_argument("--delta", type=float, help="imaginary offset of evaluation points")
     p.add_argument("-o", "--output", required=True, help="density CSV path")
 
     p = sub.add_parser("metrics", help="compare two density CSV files")
@@ -102,7 +101,10 @@ def _cmd_sample(args):
 
 
 def _cmd_fit(args):
-    values = np.loadtxt(args.eigs, ndmin=1)
+    try:
+        values = np.loadtxt(args.eigs, ndmin=1)
+    except (OSError, ValueError) as exc:
+        raise InputError(f"cannot read eigenvalues {args.eigs}: {exc}") from exc
     sample = la.SpectrumSample(np.sort(values), values.size)
     model = df.fit_density(sample, k_max=args.order)
     fio.save_model(args.output, model)
@@ -135,9 +137,7 @@ def _cmd_decompress(args):
         if not n_s:
             raise InputError("--target-n needs a model with fit_meta.n_s; use --ratio")
         ratio = args.target_n / n_s
-    request = dc.DecompressionRequest(
-        evaluator=evaluator, ratio=ratio, grid=_parse_grid(args.grid), delta=args.delta
-    )
+    request = dc.DecompressionRequest(evaluator=evaluator, ratio=ratio, grid=_parse_grid(args.grid))
     result = dc.decompress_density(request)
     good = ~result.failed
     fio.save_density_csv(args.output, result.grid[good], np.maximum(result.density[good], 0.0))

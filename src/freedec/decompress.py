@@ -43,15 +43,14 @@ class DecompressionRequest:
     """Inputs of one decompression run.
 
     ``ratio`` is n / n_s, finite and >= 1.  ``grid`` is an explicit finite,
-    strictly increasing array or 'auto'.  ``delta`` is the imaginary offset
-    of the evaluation points (defaults to 1e-3 times the source support
-    width).
+    strictly increasing array or 'auto'.  The points are evaluated at
+    ``default_delta`` of the source support above the axis, the height at
+    which a fitted model's approximant choice checks its mass.
     """
 
     evaluator: object
     ratio: float | None = None
     grid: object = "auto"
-    delta: float | None = None
 
     def resolved_ratio(self):
         if self.ratio is None:
@@ -114,9 +113,7 @@ def decompress_density(request):
     """
     ratio = request.resolved_ratio()
     evaluator = request.evaluator
-    delta = request.delta if request.delta is not None else default_delta(evaluator.support)
-    if not 0 < delta < 1:
-        raise InputError("imaginary offset delta must lie in (0, 1)")
+    delta = default_delta(evaluator.support)
     decompressed = evaluator.decompressed(ratio) if ratio > 1 else None
     support = decompressed.support if decompressed is not None else evaluator.support
 

@@ -6,10 +6,12 @@ polynomial pair (P, Q) of the quadratic identity
 
     Q(z) m(z)^2 - P(z) m(z) + 1 = 0
 
-satisfied by the Stieltjes transform m(z) = integral rho(x)/(x - z) dx.  The
-Herglotz root of the quadratic is the principal branch; the other root is its
-analytic continuation through the support cut (the secondary branch).  The
-Hilbert transform inside the support is the rational function P/(2Q).
+satisfied by the Stieltjes transform m(z) = integral rho(x)/(x - z) dx.  Unit
+mass makes q2 + p1 + 1 = 0, so P^2 - 4Q = (2 + p1)^2 (z - lo)(z - hi).  With
+s = -(2 + p1) sqrt(z - lo) sqrt(z - hi), cut on the support, the principal
+branch is m = 2/(P + s); the secondary branch, its continuation through the
+cut, is 2/(P - s) below the axis.  Inside the support the Hilbert transform
+is the rational function P/(2Q).
 """
 
 from __future__ import annotations
@@ -49,8 +51,9 @@ class EnsembleLaw:
     """Closed-form spectral law.
 
     ``p`` and ``q`` are polynomial coefficient arrays (low degree first, up to
-    degree 2) of the quadratic Stieltjes identity; ``atoms`` is a list of
-    ``(location, mass)`` point masses carried outside the continuous density.
+    degree 2) of the quadratic Stieltjes identity, with q2 + p1 + 1 = 0 (unit
+    mass); ``atoms`` lists the ``(location, mass)`` point masses outside the
+    continuous density.
     """
 
     name: str
@@ -75,16 +78,8 @@ def _atoms_from_quadratic(p, q, support):
     The mass is the residue of -m at the pole, recovered from the Herglotz
     limit eta * Im m(x0 + i eta) as eta -> 0+.
     """
-    qc = np.asarray(q, dtype=float)
-    if qc.size < 3 or abs(qc[2]) < _TINY * max(1.0, abs(qc[0]), abs(qc[1])):
-        roots = [] if qc.size < 2 or qc[1] == 0 else [-qc[0] / qc[1]]
-    else:
-        disc = qc[1] ** 2 - 4.0 * qc[2] * qc[0]
-        if disc < 0:
-            roots = []
-        else:
-            s = np.sqrt(disc)
-            roots = [(-qc[1] + s) / (2 * qc[2]), (-qc[1] - s) / (2 * qc[2])]
+    roots = npoly.polyroots(npoly.polytrim(q))
+    roots = roots[np.abs(roots.imag) <= 1e-12 * (1.0 + np.abs(roots))].real
     lo, hi = support
     scale = max(abs(lo), abs(hi), 1.0)
     atoms = []
@@ -92,7 +87,7 @@ def _atoms_from_quadratic(p, q, support):
         if lo - 1e-12 * scale < x0 < hi + 1e-12 * scale:
             continue
         eta = 1e-7 * scale
-        m = _stieltjes_from_pq(p, q, np.array([x0 + 1j * eta]), "principal")[0]
+        m = _stieltjes_from_pq(p, support, np.array([x0 + 1j * eta]), "principal")[0]
         mass = float(eta * m.imag)
         if mass > 1e-10:
             atoms.append((float(x0), mass))
@@ -198,50 +193,27 @@ def law_cdf(law, x):
     return vals if vals.ndim else float(vals)
 
 
-def _stieltjes_from_pq(p, q, z, branch):
+def _sqrt_cut(z, lo, hi):
+    """sqrt((z - lo)(z - hi)) with the cut on [lo, hi] and s(z) ~ z at
+    infinity; the principal-root product keeps each factor's cut on the
+    negative axis, so the two cuts cancel left of lo."""
+    return np.sqrt(z - lo) * np.sqrt(z - hi)
+
+
+def _stieltjes_from_pq(p, support, z, branch):
     z = np.asarray(z, dtype=complex)
-    # Exactly real inputs are upper-half limits; without a nudge both roots
-    # are real there and the Herglotz selection has nothing to compare.
+    # Exactly real inputs are upper-half limits; without a nudge a pole on the
+    # axis (an atom) divides by zero.
     on_axis = z.imag == 0
     if np.any(on_axis):
         z = np.where(on_axis, z + 1j * 1e-10 * (1.0 + np.abs(z)), z)
-    pv = npoly.polyval(z, np.asarray(p, dtype=complex))
-    qv = npoly.polyval(z, np.asarray(q, dtype=complex))
-    scale = np.maximum(np.abs(pv), np.abs(qv))
-    if np.any((np.abs(pv) < _TINY * (1 + scale)) & (np.abs(qv) < _TINY * (1 + scale))):
-        raise NumericalError("both roots of the Stieltjes quadratic are unbounded here")
-
-    s = np.sqrt(pv * pv - 4.0 * qv)
-    # Cancellation-safe: build the large root of u^2 - P u + Q first.
-    flip = (pv.real * s.real + pv.imag * s.imag) < 0
-    s = np.where(flip, -s, s)
-    u = 0.5 * (pv + s)
-
-    # Points where the quadratic degenerates to -P m + 1 = 0.
-    degenerate = np.abs(qv) < 1e-300 + _TINY**2 * np.abs(u) ** 2
-    qv_safe = np.where(degenerate, 1.0, qv)
-    u_safe = np.where(np.abs(u) < 1e-300, 1.0, u)
-    root_a = u / qv_safe
-    root_b = 1.0 / u_safe
-
-    # Herglotz selection.  Both roots can have Im m > 0 far from the support,
-    # so compare F = -1/m instead: on the principal branch F is Herglotz with
-    # F(z) ~ z, hence Im F >= Im z, and the root sum P/Q rules out both roots
-    # satisfying that at once.  Real inputs are treated as upper-half limits.
-    score_a = (-1.0 / np.where(np.abs(root_a) < 1e-300, 1.0, root_a)).imag
-    score_b = (-1.0 / np.where(np.abs(root_b) < 1e-300, 1.0, root_b)).imag
-    upper = z.imag >= 0
-    pick_a = np.where(upper, score_a >= score_b, score_a < score_b)
-    principal = np.where(pick_a, root_a, root_b)
-    if branch == "principal":
-        out = principal
-    elif branch == "secondary":
-        other = np.where(pick_a, root_b, root_a)
-        out = np.where(upper, principal, other)
-    else:
+    s = -(2.0 + (p[1] if len(p) > 1 else 0.0)) * _sqrt_cut(z, *support)
+    if branch == "secondary":
+        s = np.where(z.imag < 0, -s, s)
+    elif branch != "principal":
         raise InputError(f"unknown branch {branch!r}")
-    out = np.where(degenerate, 1.0 / np.where(np.abs(pv) < 1e-300, np.inf, pv), out)
-    return out
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return 2.0 / (npoly.polyval(z, p) + s)
 
 
 def law_stieltjes(law, z, branch="principal"):
@@ -253,8 +225,7 @@ def law_stieltjes(law, z, branch="principal"):
     cut into the lower half-plane, at the cost of a jump across the real
     axis outside the support.
     """
-    z = np.asarray(z, dtype=complex)
-    out = _stieltjes_from_pq(law.p, law.q, z, branch)
+    out = _stieltjes_from_pq(law.p, law.support, z, branch)
     return out if out.ndim else complex(out)
 
 
@@ -272,35 +243,23 @@ def law_hilbert(law, x):
 
 
 def law_r_transform(law, z):
-    """R-transform of ``law`` near zero (branch analytic at the origin)."""
-    z = np.asarray(z, dtype=complex)
-    small = np.abs(z) < 1e-12
-    zs = np.where(small, 1.0, z)
-    name, par = law.name, law.params
-    if name == "wigner":
-        out = (par["r"] ** 2 / 4.0) * z
-    elif name == "mp":
-        out = 1.0 / (1.0 - par["lam"] * z)
-    elif name == "kesten-mckay":
-        d = par["d"]
-        out = d * (np.sqrt(1.0 + 4.0 * zs * zs) - 1.0) / (2.0 * zs)
-        out = np.where(small, d * z, out)
-    elif name == "wachter":
-        a, b = par["a"], par["b"]
-        s = a + b
-        out = (-s + zs + np.sqrt(s * s + 2.0 * (a - b) * zs + zs * zs)) / (2.0 * zs)
-        out = np.where(small, a / s + 0.0 * z, out)
-    elif name == "meixner":
-        a, b, c = par["a"], par["b"], par["c"]
-        if c < 1:
-            root = np.sqrt((1.0 - a * zs) ** 2 - 4.0 * b * (1.0 - c) * zs * zs)
-            out = (c / (1.0 - c)) * (1.0 - a * zs - root) / (2.0 * zs)
-        else:
-            # c -> 1 limit of the branch analytic at the origin.
-            out = b * zs / (1.0 - a * zs)
-        out = np.where(small, b * c * z, out)
-    else:
-        raise InputError(f"unknown law {name!r}")
+    """R-transform of ``law`` near zero (branch analytic at the origin).
+
+    Substituting m = -g and z = R + 1/g into the quadratic identity and
+    dividing by g (the constant term is q2 + p1 + 1 = 0) leaves
+    q2 g R^2 + beta R + gamma = 0 with beta = q1 g + 2 q2 + p1 and
+    gamma = q0 g + q1 + p0.  The root that stays finite at g = 0 is
+    -2 gamma / (beta + sqrt(beta^2 - 4 q2 g gamma)), the square root taken on
+    beta's side.
+    """
+    g = np.asarray(z, dtype=complex)
+    p0, p1 = np.pad(np.asarray(law.p, dtype=float), (0, 2))[:2]
+    q0, q1, q2 = np.pad(np.asarray(law.q, dtype=float), (0, 3))[:3]
+    beta = q1 * g + 2.0 * q2 + p1
+    gamma = q0 * g + q1 + p0
+    root = np.sqrt(beta * beta - 4.0 * q2 * g * gamma)
+    root = np.where((root * np.conj(beta)).real < 0, -root, root)
+    out = -2.0 * gamma / (beta + root)
     return out if out.ndim else complex(out)
 
 
@@ -366,7 +325,6 @@ class EnsembleDraw:
 
     law: EnsembleLaw
     matrix: np.ndarray
-    generator_params: dict
 
 
 def _symmetrize(a):
@@ -416,13 +374,11 @@ def draw_ensemble(name, n, seed, d=None, d1=None, d2=None, coeffs=None):
         x = rng.standard_normal((n, n))
         mat = _symmetrize(np.sqrt(2.0) * x)  # (x + x.T)/sqrt(2)
         law = wigner_law(2.0 * np.sqrt(n))
-        params = {"n": n}
     elif name == "mp":
         if d is None or d < 1:
             raise InputError("'mp' requires degrees of freedom d >= 1")
         mat = _wishart(rng, n, d)
         law = marchenko_pastur_law(n / d)
-        params = {"n": n, "d": d}
     elif name == "kesten-mckay":
         if d is None or d < 2 or d % 2 != 0:
             raise InputError("'kesten-mckay' requires even d >= 2 (d = 2k Haar summands)")
@@ -433,7 +389,6 @@ def draw_ensemble(name, n, seed, d=None, d1=None, d2=None, coeffs=None):
             mat += o + o.T
         mat = _symmetrize(mat)
         law = kesten_mckay_law(d)
-        params = {"n": n, "d": d}
     elif name == "wachter":
         if d1 is None or d2 is None or d1 < 1 or d2 < 1:
             raise InputError("'wachter' requires d1 >= 1 and d2 >= 1")
@@ -445,7 +400,6 @@ def draw_ensemble(name, n, seed, d=None, d1=None, d2=None, coeffs=None):
         inv = np.linalg.solve(chol, np.linalg.solve(chol, s1).T)
         mat = _symmetrize(inv)
         law = wachter_law(d1 / n, d2 / n)
-        params = {"n": n, "d1": d1, "d2": d2}
     elif name == "meixner":
         if coeffs is None or len(coeffs) != 4:
             raise InputError("'meixner' requires coeffs = (alpha0, beta0, alpha1, beta1)")
@@ -461,7 +415,6 @@ def draw_ensemble(name, n, seed, d=None, d1=None, d2=None, coeffs=None):
         if n > 1:
             mat += np.diag(off, 1) + np.diag(off, -1)
         law = meixner_law(a=a1, b=b1 * b1, c=(b0 * b0) / (b1 * b1))
-        params = {"n": n, "coeffs": (a0, b0, a1, b1)}
     else:
         raise InputError(f"unknown ensemble {name!r}")
-    return EnsembleDraw(law, mat, params)
+    return EnsembleDraw(law, mat)

@@ -65,25 +65,40 @@ def model_from_dict(doc):
     A non-null entry the model cannot represent (a glue continuation, a
     coefficient filter) raises ``InputError``, since ignoring it would
     silently change what the file decompresses to; so does a basis other
-    than Chebyshev-U.  A stored ``gamma``, a fit setting that never changed
-    the evaluated model, is ignored.
+    than Chebyshev-U, and so does a missing or malformed support, basis,
+    coefficient list or ``fit_meta``.  A stored ``gamma``, a fit setting that
+    never changed the evaluated model, is ignored.
     """
+    if not isinstance(doc, dict):
+        raise InputError("model document is not a JSON object")
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise InputError(f"unsupported model schema_version {doc.get('schema_version')!r}")
-    support = doc["support"]
-    if not (len(support) == 2 and support[0] < support[1]):
-        raise InputError("model support must be [lo, hi] with lo < hi")
     unknown = sorted(k for k, v in doc.items() if k not in _MODEL_KEYS and v is not None)
     if unknown:
         raise InputError(f"model document has unsupported entries: {', '.join(unknown)}")
+    try:
+        support = np.asarray(doc["support"], dtype=float)
+        basis = doc["basis"]["kind"]
+        psi = np.asarray(doc["coefficients"], dtype=float)
+    except KeyError as exc:
+        raise InputError(f"model document has no {exc.args[0]!r} entry") from exc
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"model document has a malformed entry: {exc}") from exc
+    if not (support.shape == (2,) and support[0] < support[1]):
+        raise InputError("model support must be [lo, hi] with lo < hi")
+    if psi.ndim != 1 or psi.size == 0:
+        raise InputError("model coefficients must be a non-empty list of numbers")
+    meta = doc.get("fit_meta") or {}
+    if not isinstance(meta, dict):
+        raise InputError("model fit_meta must be a JSON object")
     return DensityModel(
         support=(float(support[0]), float(support[1])),
-        basis=doc["basis"]["kind"],
-        psi=np.asarray(doc["coefficients"], dtype=float),
+        basis=basis,
+        psi=psi,
         degenerate_support=bool(doc.get("degenerate_support", False)),
         repaired=bool(doc.get("repaired", False)),
         repair_warning=bool(doc.get("repair_warning", False)),
-        meta=doc.get("fit_meta", {}),
+        meta=meta,
     )
 
 
@@ -92,8 +107,14 @@ def save_model(path, model):
 
 
 def load_model(path):
-    with open(path, encoding="utf-8") as handle:
-        return model_from_dict(json.load(handle))
+    """``model_from_dict`` of a JSON file; any ``InputError`` names the file."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return model_from_dict(json.load(handle))
+    except InputError as exc:
+        raise InputError(f"model {path}: {exc}") from exc
+    except (OSError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
+        raise InputError(f"cannot read model {path}: {exc}") from exc
 
 
 def save_density_csv(path, x, density):
@@ -109,12 +130,16 @@ def save_density_csv(path, x, density):
 
 
 def load_density_csv(path):
-    with open(path, encoding="utf-8") as handle:
-        header = handle.readline().strip()
-        if header != "x,density":
-            raise InputError(f"unexpected density CSV header {header!r}")
-        data = np.loadtxt(handle, delimiter=",", ndmin=2)
-    x, density = data[:, 0], data[:, 1]
+    try:
+        with open(path, encoding="utf-8") as handle:
+            header = handle.readline().strip()
+            if header != "x,density":
+                raise InputError(f"unexpected density CSV header {header!r}")
+            x, density = np.loadtxt(handle, delimiter=",", ndmin=2, usecols=(0, 1), unpack=True)
+    except (OSError, ValueError) as exc:
+        raise InputError(f"cannot read density CSV {path}: {exc}") from exc
+    if x.size == 0:
+        raise InputError(f"density CSV {path} has no rows")
     if np.any(np.diff(x) <= 0):
         raise InputError("density CSV grid must be strictly increasing")
     if np.any(density < 0):

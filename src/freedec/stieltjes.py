@@ -46,12 +46,6 @@ def joukowski(w):
     return out if out.ndim else complex(out)
 
 
-def _sqrt_cut(z):
-    # sqrt(z^2 - 1) with the cut on [-1, 1] and s(z) ~ z at infinity;
-    # the principal-root product keeps each factor's cut on the negative axis.
-    return np.sqrt(z - 1.0) * np.sqrt(z + 1.0)
-
-
 def joukowski_inverse(z):
     """Principal inverse Joukowski J(z) = z - sqrt(z^2 - 1).
 
@@ -62,14 +56,14 @@ def joukowski_inverse(z):
     z = np.asarray(z, dtype=complex)
     on_cut = (z.imag == 0) & (np.abs(z.real) < 1)
     zs = np.where(on_cut, z + 1e-300j, z)
-    out = zs - _sqrt_cut(zs)
+    out = zs - ensembles._sqrt_cut(zs, -1.0, 1.0)
     return out if out.ndim else complex(out)
 
 
 def _joukowski_second_sheet(z):
     """Continuation of J through (-1, 1): z + sqrt(z^2 - 1) below the axis."""
     z = np.asarray(z, dtype=complex)
-    s = _sqrt_cut(z)
+    s = ensembles._sqrt_cut(z, -1.0, 1.0)
     out = np.where(z.imag < 0, z + s, z - s)
     return out if out.ndim else complex(out)
 

@@ -239,6 +239,53 @@ def test_fit_non_finite_eigenvalue_exits_2(tmp_path, capsys):
     assert not (tmp_path / "m.json").exists()
 
 
+_GOOD_MODEL = {"schema_version": 1, "support": [0, 1], "basis": {"kind": "chebyshev-u"},
+               "coefficients": [1.0]}
+_DECOMPRESS_BAD = ["decompress", "--ratio", "2", "--model"]
+
+
+def _model_without(key):
+    return json.dumps({k: v for k, v in _GOOD_MODEL.items() if k != key})
+
+
+# the command up to the input file, and the file's content (None: no file)
+_BAD_INPUTS = {
+    "fit non-numeric line": (["fit", "--eigs"], "0.5\nabc\n1.0\n"),
+    "fit missing file": (["fit", "--eigs"], None),
+    "decompress non-JSON": (_DECOMPRESS_BAD, "{not json"),
+    "decompress no basis": (_DECOMPRESS_BAD, _model_without("basis")),
+    "decompress no support": (_DECOMPRESS_BAD, _model_without("support")),
+    "decompress no coefficients": (_DECOMPRESS_BAD, _model_without("coefficients")),
+    "decompress non-numeric coefficient": (
+        _DECOMPRESS_BAD, json.dumps({**_GOOD_MODEL, "coefficients": [1.0, "x"]})
+    ),
+    "decompress scalar coefficients": (
+        _DECOMPRESS_BAD, json.dumps({**_GOOD_MODEL, "coefficients": 1.0})
+    ),
+    "decompress fit_meta not an object": (
+        _DECOMPRESS_BAD, json.dumps({**_GOOD_MODEL, "fit_meta": [1]})
+    ),
+    "metrics non-numeric cell": (["metrics", "--b", "{path}", "--a"],
+                                 "x,density\n0.0,1.0\n0.5,abc\n1.0,1.0\n"),
+    "metrics no rows": (["metrics", "--b", "{path}", "--a"], "x,density\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_INPUTS))
+def test_bad_input_file_exits_2(case, tmp_path, capsys):
+    # a file that cannot be read is bad input named as such, not a traceback
+    argv, content = _BAD_INPUTS[case]
+    path = tmp_path / "input"
+    if content is not None:
+        path.write_text(content)
+    out = tmp_path / "out"
+    argv = [arg.format(path=path) for arg in argv]
+    assert main(argv + [str(path), "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("freedec: ") and str(path) in err
+    assert not out.exists()
+
+
 def test_metrics_command(tmp_path, capsys):
     x = np.linspace(0.0, 1.0, 257)
     save_density_csv(tmp_path / "a.csv", x, np.ones_like(x))
@@ -295,7 +342,6 @@ _FLAG_EFFECTS = {
     ("decompress", "--ratio"): (_DECOMPRESS, _DECOMPRESS + ["--ratio", "3"]),
     ("decompress", "--target-n"): (_DECOMPRESS, _DECOMPRESS[:3] + ["--target-n", "900"]),
     ("decompress", "--grid"): (_DECOMPRESS, _DECOMPRESS + ["--grid", "0.2:2.5:64"]),
-    ("decompress", "--delta"): (_DECOMPRESS, _DECOMPRESS + ["--delta", "0.01"]),
     ("decompress", "--output"): None,
     ("metrics", "--a"): None,
     ("metrics", "--b"): None,

@@ -63,16 +63,15 @@ def _even_model(law, k_max):
 # characteristic roots
 
 
-def _one_point(ev, x, ratio, delta=None):
-    res = decompress_density(
-        DecompressionRequest(evaluator=ev, ratio=ratio, grid=np.array([x]), delta=delta)
-    )
+def _one_point(ev, x, ratio):
+    res = decompress_density(DecompressionRequest(evaluator=ev, ratio=ratio, grid=np.array([x])))
     return complex(res.roots[0]), res
 
 
 def test_zero_time_degenerates():
-    z, res = _one_point(LawEvaluator(marchenko_pastur_law(0.5)), 1.0, 1.0, delta=1e-3)
-    assert z == 1.0 + 1e-3j
+    law = marchenko_pastur_law(0.5)
+    z, res = _one_point(LawEvaluator(law), 1.0, 1.0)
+    assert z == 1.0 + 1j * dc.default_delta(law.support)
     assert not res.failed.any()
 
 

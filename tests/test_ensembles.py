@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.integrate
@@ -168,6 +170,23 @@ def test_degenerate_quadratic_limit():
     assert val == pytest.approx(1.0 / (1.0 - 0.25), abs=1e-9)
 
 
+def test_on_axis_pole_is_finite():
+    # exactly real points are nudged 1e-10 (1 + |x|) above the axis: a pole
+    # there (an atom) stays finite, and the nudge height times Im m is its mass
+    cases = [
+        (marchenko_pastur_law(2.0), 0.0, 0.5),
+        (marchenko_pastur_law(1.0), 0.0, None),  # the left edge, no atom
+        (decompressed_law(wachter_law(2.5, 1.5625), 2.0), 1.0, 0.21875),
+    ]
+    for law, x, mass in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            m = law_stieltjes(law, x)
+        assert np.isfinite(m)
+        if mass is not None:
+            assert 1e-10 * (1.0 + abs(x)) * m.imag == pytest.approx(mass, rel=1e-6)
+
+
 # ---------------------------------------------------------------------------
 # Hilbert transforms
 
@@ -242,6 +261,27 @@ def test_r_functional_identity(name):
     w = rng.uniform(lo, hi, 20) + 1j * rng.uniform(0.5, 2.0, 20) * (hi - lo)
     m = law_stieltjes(law, w)
     assert np.max(np.abs(law_r_transform(law, -m) - 1.0 / m - w)) <= 1e-9
+
+
+# the ratios inside each law's decompression domain, of 2, 8 and 32
+_DOMAIN = {"wigner": (2, 8, 32), "mp": (2, 8, 32), "kesten-mckay": (2,), "wachter": (2,),
+           "meixner": (2, 8, 32)}
+
+
+@pytest.mark.parametrize("name", sorted(ALL_LAWS))
+def test_r_transform_of_decompressed_law(name):
+    # decompression scales the free cumulants as kappa_n -> r^(n-1) kappa_n,
+    # so the decompressed law's R at z is the source law's R at r z
+    law = ALL_LAWS[name]
+    rng = make_rng(41)
+    for ratio in (2, 8, 32):
+        if ratio not in _DOMAIN[name]:
+            with pytest.raises(InputError):
+                decompressed_law(law, ratio)
+            continue
+        z = (rng.uniform(-1, 1, 20) + 1j * rng.uniform(-1, 1, 20)) * (0.005 / ratio)
+        got = law_r_transform(decompressed_law(law, ratio), z)
+        assert np.max(np.abs(got - law_r_transform(law, ratio * z))) <= 1e-12
 
 
 def test_meixner_flow_identity_and_composition():
