@@ -5,9 +5,9 @@ an eigenvalue file), ``decompress`` (evolve a model to a larger dimension),
 ``metrics`` (compare two density files).  Every stochastic command requires
 an explicit ``--seed``; results are byte-reproducible.  ``decompress``
 writes the density CSV plus a ``.diag.json`` sidecar with the failed-point
-count, the order of the Pade approximant the decompression chose and the
-count of its harmless branch points, the model's fit flags and the
-evaluator's Pade approximant count and breakdown flag.
+count, the chosen Pade approximant's order, harmless branch points, the
+approximants the choice tried and the points its follow refined, the
+model's fit flags and the evaluator's approximant count and breakdown flag.
 """
 
 from __future__ import annotations
@@ -105,6 +105,8 @@ def _cmd_fit(args):
         values = np.loadtxt(args.eigs, ndmin=1)
     except (OSError, ValueError) as exc:
         raise InputError(f"cannot read eigenvalues {args.eigs}: {exc}") from exc
+    if values.ndim != 1:
+        raise InputError(f"eigenvalues {args.eigs} must be one column, got shape {values.shape}")
     sample = la.SpectrumSample(np.sort(values), values.size)
     model = df.fit_density(sample, k_max=args.order)
     fio.save_model(args.output, model)
@@ -151,6 +153,8 @@ def _cmd_decompress(args):
         "grid_points": int(result.grid.size),
         "pade_order": None if followed is None else followed.order,
         "harmless_branch_points": 0 if followed is None else followed.harmless_branch_points,
+        "pade_candidates_tried": 0 if followed is None else followed.candidates_tried,
+        "refined_points": 0 if followed is None else followed.refined_points,
         "pade_approximants": evaluator.approximant_count,
         "pade_breakdown": evaluator.breakdown,
         "k_eff": model.meta.get("k_eff"),

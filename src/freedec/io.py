@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+import warnings
 
 import numpy as np
 
@@ -135,7 +136,9 @@ def load_density_csv(path):
             header = handle.readline().strip()
             if header != "x,density":
                 raise InputError(f"unexpected density CSV header {header!r}")
-            x, density = np.loadtxt(handle, delimiter=",", ndmin=2, usecols=(0, 1), unpack=True)
+            with warnings.catch_warnings():  # no rows is reported below, as an InputError
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                x, density = np.loadtxt(handle, delimiter=",", ndmin=2, usecols=(0, 1), unpack=True)
     except (OSError, ValueError) as exc:
         raise InputError(f"cannot read density CSV {path}: {exc}") from exc
     if x.size == 0:

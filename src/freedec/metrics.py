@@ -72,6 +72,12 @@ def total_variation(x, rho_a, rho_b):
     return float(0.5 * np.trapezoid(np.abs(a - b), x))
 
 
+def _kl_terms(p, mid):
+    """p log(p / mid), with 0 log 0 = 0 where either vanishes."""
+    mask = (p > 0) & (mid > 0)
+    return np.where(mask, p * np.log(np.where(mask, p / np.where(mid > 0, mid, 1.0), 1.0)), 0.0)
+
+
 def jensen_shannon(x, rho_a, rho_b):
     """Jensen-Shannon divergence in nats (bounded by log 2).
 
@@ -80,13 +86,7 @@ def jensen_shannon(x, rho_a, rho_b):
     x, a, b = _check_pair(x, rho_a, rho_b)
     a, b = _normalize(x, a), _normalize(x, b)
     mid = 0.5 * (a + b)
-
-    def half_kl(p):
-        mask = (p > 0) & (mid > 0)
-        integrand = np.where(mask, p * np.log(np.where(mask, p / np.where(mid > 0, mid, 1.0), 1.0)), 0.0)
-        return np.trapezoid(integrand, x)
-
-    return float(0.5 * half_kl(a) + 0.5 * half_kl(b))
+    return float(0.5 * np.trapezoid(_kl_terms(a, mid), x) + 0.5 * np.trapezoid(_kl_terms(b, mid), x))
 
 
 def _hist_pair(samples_a, samples_b):
@@ -108,12 +108,7 @@ def total_variation_samples(samples_a, samples_b):
 def jensen_shannon_samples(samples_a, samples_b):
     pa, pb = _hist_pair(samples_a, samples_b)
     mid = 0.5 * (pa + pb)
-
-    def half_kl(p):
-        mask = (p > 0) & (mid > 0)
-        return np.where(mask, p * np.log(np.where(mask, p / np.where(mid > 0, mid, 1.0), 1.0)), 0.0).sum()
-
-    return float(0.5 * half_kl(pa) + 0.5 * half_kl(pb))
+    return float(0.5 * _kl_terms(pa, mid).sum() + 0.5 * _kl_terms(pb, mid).sum())
 
 
 def moments(x, rho, k_max=4):
@@ -175,10 +170,7 @@ def qmc_sample(x, rho, count, seed=0):
     cdf = np.concatenate([[0.0], np.cumsum(0.5 * (rho[1:] + rho[:-1]) * np.diff(x))])
     if cdf[-1] <= 0:
         raise InputError("density has no mass on the grid")
-    cdf /= cdf[-1]
-    fixed = np.maximum.accumulate(cdf)
-    if not np.array_equal(fixed, cdf):
-        cdf = fixed
+    cdf = np.maximum.accumulate(cdf / cdf[-1])
     u = van_der_corput(count)
     if seed:
         from .linalg import make_rng

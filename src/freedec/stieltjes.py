@@ -75,6 +75,7 @@ _TOP = 100.0  # start of the root follow, in source widths times the ratio
 _TOP_NEWTON = 4  # Newton steps from w = 0 at the top
 _HEIGHTS = 20  # geometric heights of the follow from the top to the target
 _REFINE = 4  # how much finer the second follow of a flagged point steps
+_RESTART_MARGIN = 3  # heights above its first rough step from which a flagged point is followed again
 _POLISH = 30  # Newton steps onto a singular point the follow may have reached
 _PROBE = 201  # points of the support probe
 _PROBE_HEIGHT = 3e-3  # its height above the axis, in units of the evaluation offset delta
@@ -140,8 +141,7 @@ class ChebyshevPadeEvaluator:
     method = "pade-chebyshev"
 
     def __init__(self, model):
-        self.model = model
-        self.support = model.support
+        self.model, self.support = model, model.support
         coeffs = model.psi
         nonzero = np.flatnonzero(coeffs)
         self.coeffs = coeffs[: nonzero[-1] + 1 if nonzero.size else 1]
@@ -193,6 +193,7 @@ class ChebyshevPadeEvaluator:
         for k in range(self.approximant_count, -1, -1):
             followed = FollowedRoot(*self._in_w(k), self.support, r, k)
             if followed.admissible(delta):
+                followed.candidates_tried = self.approximant_count + 1 - k
                 return followed
         raise InputError(f"ratio {r:g} is outside the decompression domain of the model: "
                          "no Pade approximant gives a decompressed transform")
@@ -214,13 +215,17 @@ class FollowedRoot:
     vertical line through ``_HEIGHTS`` geometric heights: at each, an Euler
     step in x' (taken in 1/w) and three Newton steps on P.  A point whose
     Newton steps once moved it more than half its Euler step, or that ends
-    unconverged, is followed again through ``_REFINE`` times as many
-    heights; where that still ends unconverged, the transform is NaN.  The
-    decompressed transform is m' = m(z) / r = -pi w N(w) / (r D(w)).
+    unconverged, is followed again through ``_REFINE`` times as many heights
+    (each ``_REFINE``-th a coarse one) from its coarse iterate
+    ``_RESTART_MARGIN`` heights above the last before that step, or above
+    the target (margins 0 and 1 put points of exact MP(1/50) and Wigner
+    K = 40 models x32 on another root); NaN where that ends unconverged.
+    The decompressed transform is m' = m(z) / r = -pi w N(w) / (r D(w)).
 
-    ``order`` is k; ``support`` and ``harmless_branch_points`` are set by
-    ``admissible``, which keeps the transform on the auto grid it measured
-    the mass on, so a decompression on that grid does not follow it again.
+    ``order`` is k.  ``admissible`` sets ``support`` and
+    ``harmless_branch_points`` and keeps m' on the auto grid of its mass
+    check, for a decompression there.  ``candidates_tried`` counts the
+    approximants the choice checked, ``refined_points`` the points followed again.
     """
 
     def __init__(self, num, den, source_support, ratio, order):
@@ -228,6 +233,7 @@ class FollowedRoot:
         c, h, a = 0.5 * (lo + hi), 0.5 * (hi - lo), ratio - 1.0
         self.num, self.den, self.ratio, self.order = num, den, ratio, order
         self.support, self.harmless_branch_points, self._on_grid = None, 0, None
+        self.candidates_tried, self.refined_points = 0, 0
         self._centre, self._half, self._a = c, h, a
         self._top = _TOP * ratio * (hi - lo)
         big = npoly.polyadd(np.pi * npoly.polymul(num, [h, 2.0 * c, h]), 2.0 * a * den)
@@ -250,34 +256,61 @@ class FollowedRoot:
         steps = np.arange(count + 1)[:, np.newaxis] / count
         return y * (self._top / y) ** (1.0 - steps)
 
+    def _newton(self, w, xp, steps):
+        """``steps`` Newton steps on P at x' = xp from w: the root, the last
+        step, and A', B and B' at the last iterate, one step short of it."""
+        for _ in range(steps):
+            big, dbig, small, dsmall = self._values(w)
+            newton = (big - xp * small) / (dbig - xp * dsmall)
+            w = w - newton
+        return w, newton, dbig, small, dsmall
+
     def _follow(self, x, y, count=_HEIGHTS, refine=True):
         """The followed root at x + i y (1-d arrays of one shape, y > 0), and
-        where its last Newton step converged."""
+        where its last Newton step converged; ``refine`` (a mask, or all)
+        selects the points a second follow may take."""
         heights = self._heights(y, count)
-        w = np.zeros(x.shape, dtype=complex)
+        path = np.zeros((count + 1,) + x.shape, dtype=complex)
+        last = np.full(x.shape, count)  # the last height before the first rough step
         xp = x + 1j * heights[0]
         with np.errstate(all="ignore"):
-            for _ in range(_TOP_NEWTON):
-                big, dbig, small, dsmall = self._values(w)
-                w = w - (big - xp * small) / (dbig - xp * dsmall)
-            rough = np.zeros(x.shape, dtype=bool)
-            for height in heights[1:]:
-                xn = x + 1j * height
+            w, _, dbig, small, dsmall = self._newton(path[0], xp, _TOP_NEWTON)
+            for j in range(1, count + 1):
+                xn = x + 1j * heights[j]
                 # the derivative at the last Newton iterate, one step short of w
                 step = small / (dbig - xp * dsmall) * (xn - xp)
                 guess = w * w / (w - step)  # the Euler step taken in 1/w, exact for w ~ 1/x'
-                wn = guess
-                for _ in range(3):
-                    big, dbig, small, dsmall = self._values(wn)
-                    newton = (big - xn * small) / (dbig - xn * dsmall)
-                    wn = wn - newton
-                rough |= ~(np.abs(wn - guess) <= 0.5 * np.abs(guess - w) + 1e-9 * (1.0 + np.abs(wn)))
-                w, xp = wn, xn
+                wn, newton, dbig, small, dsmall = self._newton(guess, xn, 3)
+                rough = ~(np.abs(wn - guess) <= 0.5 * np.abs(guess - w) + 1e-9 * (1.0 + np.abs(wn)))
+                last = np.where(rough & (last == count), j - 1, last)
+                path[j - 1], w, xp = w, wn, xn
             converged = np.abs(newton) <= 1e-8 * (1.0 + np.abs(w))
-        if refine and (rough | ~converged).any():
-            flagged = np.flatnonzero(rough | ~converged)
-            w[flagged], converged[flagged] = self._follow(
-                x[flagged], y[flagged], _REFINE * count, refine=False)
+        flagged = np.flatnonzero(refine & ((last < count) | ~converged))
+        self.refined_points += flagged.size
+        if flagged.size:
+            start = np.maximum(last - _RESTART_MARGIN, 0)
+            flagged = flagged[np.argsort(start[flagged], kind="stable")]
+            begin = start[flagged]
+            w[flagged], converged[flagged] = self._refollow(
+                x[flagged], y[flagged], _REFINE * count, _REFINE * begin, path[begin, flagged])
+        return w, converged
+
+    def _refollow(self, x, y, count, begin, w):
+        """``_follow`` through ``count`` heights from each iterate w at its own
+        height index ``begin`` (nondecreasing, so the moving points are a
+        prefix and a point's root depends on its own path alone)."""
+        heights = self._heights(y, count)
+        xp = x + 1j * heights[begin, np.arange(x.size)]
+        with np.errstate(all="ignore"):
+            _, dbig, small, dsmall = self._values(w)  # the first Euler step's derivative at w
+            for i in range(begin[0] + 1, count + 1):
+                n = np.searchsorted(begin, i)  # the points that started above height i
+                xn = x[:n] + 1j * heights[i, :n]
+                step = small[:n] / (dbig[:n] - xp[:n] * dsmall[:n]) * (xn - xp[:n])
+                w[:n], newton, dbig[:n], small[:n], dsmall[:n] = self._newton(
+                    w[:n] * w[:n] / (w[:n] - step), xn, 3)
+                xp[:n] = xn
+            converged = np.abs(newton) <= 1e-8 * (1.0 + np.abs(w))
         return w, converged
 
     def _transform(self, w):
@@ -298,16 +331,21 @@ class FollowedRoot:
     def _density(self, x, y):
         return self.stieltjes(x + 1j * y).imag / np.pi
 
-    def _probe(self, y):
+    def _probe_line(self, doubling):
+        """The ``_PROBE`` points of the support probe's width 2^doubling."""
+        half = max(self.ratio, 1.0) * self._half * 2.0 ** doubling
+        return self._centre + half * np.linspace(-1.0, 1.0, _PROBE)
+
+    def _probe(self, y, dens):
         """The contiguous run above ``_SUPPORT_THRESHOLD`` of the peak around
-        the peak, on ``_PROBE`` points at height y, doubled in width until the
+        the peak, on the probe line at height y, doubled in width until the
         density decays at both ends: (points, index of the last point below
         the threshold on each side, threshold), or None without decay or
-        with a failed point."""
-        half = max(self.ratio, 1.0) * self._half
-        for _ in range(4):
-            xs = self._centre + half * np.linspace(-1.0, 1.0, _PROBE)
-            dens = self._density(xs, y)
+        with a failed point.  ``dens`` is given on the first width."""
+        for doubling in range(4):
+            xs = self._probe_line(doubling)
+            if doubling:
+                dens = self._density(xs, y)
             thresh = _SUPPORT_THRESHOLD * dens.max()
             if not (np.isfinite(dens).all() and thresh > 0):
                 return None
@@ -316,7 +354,6 @@ class FollowedRoot:
                 peak = int(np.argmax(dens))
                 below = np.flatnonzero(~above)
                 return xs, below[below < peak][-1], below[below > peak][0], thresh
-            half *= 2.0
         return None
 
     def _edges(self, xs, first, last, thresh, y):
@@ -329,12 +366,11 @@ class FollowedRoot:
             inside = self._density(pts[:, 1:-1].ravel(), y).reshape(2, -1) > thresh
             j = 1 + np.argmax(np.column_stack([inside, np.ones(2, dtype=bool)]), axis=1)
             ends = np.column_stack([pts[edge, j - 1], pts[edge, j]])
-        lo, hi = ends.mean(axis=1)
-        return (float(lo), float(hi))
+        return tuple(float(end) for end in ends.mean(axis=1))
 
-    def _singular_points(self):
+    def _singular_points(self, delta):
         """Branch points and poles of the decompressed transform, in w, and
-        their images x'(w)."""
+        their images x'(w), where those lie more than delta above the axis."""
         num, den, h, a = self.num, self.den, self._half, self._a
         wronskian = npoly.polysub(npoly.polymul(npoly.polyder(den), num),
                                   npoly.polymul(den, npoly.polyder(num)))
@@ -346,20 +382,18 @@ class FollowedRoot:
         with np.errstate(all="ignore"):
             image = (self._centre + 0.5 * h * (points + 1.0 / points)
                      + a * npoly.polyval(points, den) / (np.pi * points * npoly.polyval(points, num)))
-        return points, image
+        keep = np.isfinite(image) & (image.imag > delta)
+        return points[keep], image[keep]
 
-    def _reached(self, points, image):
-        """Whether the followed root at each image is its singular point.
+    def _reached(self, points, image, w):
+        """Whether the followed root w at each image is its singular point.
 
         At its image a branch point is a double root of P, where the follow
-        ends only roughly; Newton steps there close in on it (halving the
-        distance each), else stay on the simple root the follow took.  A
-        follow lost on the way counts as reaching."""
-        w, _ = self._follow(image.real, image.imag, refine=False)
+        ends only roughly (it is not followed again); Newton steps there
+        close in on it (halving the distance each), else stay on the simple
+        root the follow took.  A follow lost on the way counts as reaching."""
         with np.errstate(all="ignore"):
-            for _ in range(_POLISH):
-                big, dbig, small, dsmall = self._values(w)
-                w = w - (big - image * small) / (dbig - image * dsmall)
+            w = self._newton(w, image, _POLISH)[0]
         return ~(np.abs(w - points) > 1e-4 * (1.0 + np.abs(points)))
 
     def admissible(self, delta):
@@ -379,17 +413,20 @@ class FollowedRoot:
         reached singular point the followed branch is analytic above
         ``delta``, and a grid mass off 1 can only be an atom's Lorentzian
         narrower than the grid spacing, so the mass is counted again on a
-        grid of spacing delta / 2.
+        grid of spacing delta / 2.  One follow takes the probe's first width
+        and the images; only the probe's points are followed again.
         """
-        y = _PROBE_HEIGHT * delta
-        probe = self._probe(y)
+        y, n = _PROBE_HEIGHT * delta, _PROBE
+        points, image = self._singular_points(delta)
+        w, converged = self._follow(np.concatenate([self._probe_line(0), image.real]),
+                                    np.concatenate([np.full(n, y), image.imag]),
+                                    refine=np.arange(n + image.size) < n)
+        probe = self._probe(y, self._transform(np.where(converged[:n], w[:n], np.nan)).imag / np.pi)
         if probe is None:
             return False
         xs, first, last, thresh = probe
-        points, image = self._singular_points()
-        keep = np.isfinite(image) & (image.imag > delta)
-        reached = self._reached(points[keep], image[keep])
-        beyond = (image[keep].real < xs[first]) | (image[keep].real > xs[last])
+        reached = self._reached(points, image, w[n:])
+        beyond = (image.real < xs[first]) | (image.real > xs[last])
         if (reached & ~beyond).any():
             return False
         self.harmless_branch_points = int(reached.sum())

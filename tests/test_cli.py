@@ -1,7 +1,9 @@
+import importlib.util
 import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -124,6 +126,7 @@ def test_fit_and_decompress_roundtrip(tmp_path, capsys):
     diag = json.loads((tmp_path / "dens.diag.json").read_text())
     assert diag["failed_points"] == 0
     assert (diag["pade_order"], diag["harmless_branch_points"]) == (None, 0)
+    assert (diag["pade_candidates_tried"], diag["refined_points"]) == (0, 0)
     assert diag["ratio"] == 1.0
     assert diag["k_eff"] == model.meta["k_eff"]
     # a fit with no exactly zero kept coefficient gets every [k/k] up to its order
@@ -140,7 +143,38 @@ def test_fit_and_decompress_roundtrip(tmp_path, capsys):
     followed = ChebyshevPadeEvaluator(model).decompressed(4.0)
     assert (diag["pade_order"], diag["harmless_branch_points"]) == (
         followed.order, followed.harmless_branch_points)
+    assert (diag["pade_candidates_tried"], diag["refined_points"]) == (
+        followed.candidates_tried, followed.refined_points)
     assert 0 <= diag["pade_order"] <= diag["pade_approximants"]
+    assert diag["pade_candidates_tried"] == diag["pade_approximants"] + 1 - diag["pade_order"]
+
+
+def _bench_reference():
+    spec = importlib.util.spec_from_file_location("bench_reference", ROOT / "bench" / "reference.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_diag_counts_the_approximant_choice(tmp_path):
+    # The bench's pade_exact models (built by its reference, as
+    # bench/workloads.py builds them): the choice tries 7, 7 and 11
+    # approximants, deepest first, and the count of points the chosen
+    # root's follow refined repeats exactly from run to run.
+    ref = _bench_reference()
+    mp, km = ref.marchenko_pastur(1 / 50), ref.kesten_mckay(4)
+    model_path, dens_path = tmp_path / "model.json", tmp_path / "dens.csv"
+    for law, order, ratio, tried in ((mp, 20, 8, 7), (mp, 20, 32, 7), (km, 50, 2, 11)):
+        psi = ref.chebyshev_u_coefficients(law, order)
+        save_model(model_path, DensityModel(support=law.support, basis="chebyshev-u", psi=psi))
+        diags = []
+        for _ in range(2):
+            argv = ["decompress", "--model", str(model_path), "--ratio", str(ratio), "-o", str(dens_path)]
+            assert main(argv) == 0
+            diags.append(json.loads((tmp_path / "dens.diag.json").read_text()))
+        assert diags[0]["pade_candidates_tried"] == tried
+        assert diags[0]["refined_points"] == diags[1]["refined_points"]
 
 
 def test_fit_k0_single_coefficient(tmp_path):
@@ -252,6 +286,7 @@ def _model_without(key):
 _BAD_INPUTS = {
     "fit non-numeric line": (["fit", "--eigs"], "0.5\nabc\n1.0\n"),
     "fit missing file": (["fit", "--eigs"], None),
+    "fit two columns": (["fit", "--eigs"], "0.5 1.0\n0.7 1.2\n0.9 1.4\n"),
     "decompress non-JSON": (_DECOMPRESS_BAD, "{not json"),
     "decompress no basis": (_DECOMPRESS_BAD, _model_without("basis")),
     "decompress no support": (_DECOMPRESS_BAD, _model_without("support")),
@@ -280,7 +315,10 @@ def test_bad_input_file_exits_2(case, tmp_path, capsys):
         path.write_text(content)
     out = tmp_path / "out"
     argv = [arg.format(path=path) for arg in argv]
-    assert main(argv + [str(path), "-o", str(out)]) == 2
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv + [str(path), "-o", str(out)]) == 2
+    assert not caught  # the error line is the only report
     err = capsys.readouterr().err
     assert err.startswith("freedec: ") and str(path) in err
     assert not out.exists()

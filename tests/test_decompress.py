@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import freedec.decompress as dc
-from freedec.stieltjes import FollowedRoot
+from freedec.stieltjes import _PROBE_HEIGHT, FollowedRoot
 from freedec import (
     ChebyshevPadeEvaluator,
     DecompressionRequest,
@@ -101,13 +101,21 @@ def test_negative_time_rejected():
 
 
 def _roots_at(followed, xp):
-    """Every root of the characteristic polynomial at each target (companion eigenvalues)."""
+    """Every root of the characteristic polynomial at each target (companion
+    eigenvalues), but those at a common zero of N and D (a Froissart doublet
+    of the approximant): those are roots at every target, a stationary root
+    no follow ends on, which nearest-root matching can jump to when the
+    followed root passes it.  They come out infinite."""
     coeffs = followed._table[:, 0] - xp[:, np.newaxis] * followed._table[:, 2]
     d = coeffs.shape[1] - 1
     companion = np.zeros((xp.size, d, d), dtype=complex)
     companion[:, np.arange(1, d), np.arange(d - 1)] = 1.0
     companion[:, :, -1] = -coeffs[:, :-1] / coeffs[:, -1:]
-    return np.linalg.eigvals(companion)
+    roots = np.linalg.eigvals(companion)
+    zeros, poles = (np.polynomial.polynomial.polyroots(p) for p in (followed.num, followed.den))
+    doublets = zeros[np.min(np.abs(zeros[:, np.newaxis] - poles), axis=1, initial=np.inf) <= 1e-8]
+    near = np.abs(roots[..., np.newaxis] - doublets) <= 1e-6 * (1.0 + np.abs(doublets))
+    return np.where(near.any(axis=-1), np.inf, roots)
 
 
 def _all_roots_follow(followed, x, y, count=200):
@@ -137,6 +145,63 @@ def test_predictor_corrector_matches_all_roots_follow():
         w, converged = followed._follow(grid, y)
         assert converged.all()
         assert np.max(np.abs(w - _all_roots_follow(followed, grid, y)) / (1 + np.abs(w))) <= 1e-8
+
+
+def _newton_polished(followed, w, xp, steps=3):
+    # companion eigenvalues lose digits next to a double root (1.6e-8 at the
+    # probe point beside exact MP K = 20 x32's upper edge); Newton steps on P
+    # restore them without leaving the root (the next one is 1.6e-2 away there)
+    poly, table = np.polynomial.polynomial, followed._table
+    for _ in range(steps):
+        value = poly.polyval(w, table[:, 0]) - xp * poly.polyval(w, table[:, 2])
+        w = w - value / (poly.polyval(w, table[:, 1]) - xp * poly.polyval(w, table[:, 3]))
+    return w
+
+
+def test_refollow_restarts_on_the_root(monkeypatch):
+    # Every point the follow refines, on the auto grid and on the probe line,
+    # restarts 3 coarse heights above its first rough step.  It lands on the
+    # root that following every root through 50 heights picks (200 heights
+    # pick the same roots), and gets the same bits alone and in batches that
+    # mix restart heights.  Restarting 0 or 1 height above (a point that only
+    # ended unconverged one above the target) fails the first assertion on
+    # the MP K = 40 and Wigner cases.
+    restarts = []
+    refollow = FollowedRoot._refollow
+
+    def recording(self, x, y, count, begin, w):
+        restarts.append((x, begin))
+        return refollow(self, x, y, count, begin, w)
+
+    monkeypatch.setattr(FollowedRoot, "_refollow", recording)
+    mp = marchenko_pastur_law(1 / 50)
+    cases = [(_exact_model(mp, k_max=20), 32.0), (_exact_model(mp), 32.0),
+             (_even_model(wigner_law(2.0), 40), 32.0), (_even_model(kesten_mckay_law(4), 50), 2.0)]
+    mixed = 0
+    for model, ratio in cases:
+        followed = ChebyshevPadeEvaluator(model).decompressed(ratio)
+        delta = dc.default_delta(model.support)
+        lines = [(dc.auto_grid(followed.support), delta), (followed._probe_line(0), _PROBE_HEIGHT * delta)]
+        for line, height in lines:
+            y = np.full(line.size, height)
+            restarts.clear()
+            w, converged = followed._follow(line, y)
+            if not restarts:
+                continue
+            x, begin = restarts[0]
+            order = np.argsort(x)
+            x, begin = x[order], begin[order]
+            refined = np.searchsorted(line, x)
+            assert converged[refined].all()
+            xp = x + 1j * height
+            want = _newton_polished(followed, _all_roots_follow(followed, x, y[refined], count=50), xp)
+            assert np.max(np.abs(w[refined] - want) / (1 + np.abs(want))) <= 1e-8
+            for k in refined:
+                assert followed._follow(line[k : k + 1], y[k : k + 1])[0][0] == w[k]
+            for part in (refined[::-2], refined[-2::-2]):
+                mixed += np.unique(begin[np.searchsorted(refined, part)]).size > 1
+                assert np.array_equal(followed._follow(line[part], y[part])[0], w[part])
+    assert mixed >= 4
 
 
 def test_mass_counts_failed_points_as_zero():
