@@ -333,13 +333,20 @@ def _symmetrize(a):
 
 def _wishart(rng, n, d, chunk=10000):
     # Accumulate X X^T / d in column chunks so huge d never materializes X.
+    # One helper thread draws the next chunk while this thread adds the
+    # current one (both release the GIL).  The chunks come from the stream in
+    # the serial order and are summed in that order, so the matrix is
+    # bit-identical to a serial loop's; at most one chunk is drawn ahead.
+    from concurrent.futures import ThreadPoolExecutor
+
     a = np.zeros((n, n))
-    done = 0
-    while done < d:
-        cols = min(chunk, d - done)
-        x = rng.standard_normal((n, cols))
-        a += x @ x.T
-        done += cols
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        ahead = pool.submit(rng.standard_normal, (n, min(chunk, d)))
+        for done in range(chunk, d + chunk, chunk):
+            x = ahead.result()
+            if done < d:
+                ahead = pool.submit(rng.standard_normal, (n, min(chunk, d - done)))
+            a += x @ x.T
     return _symmetrize(a / d)
 
 

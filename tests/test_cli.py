@@ -31,6 +31,8 @@ import freedec
 from freedec.cli import main
 from freedec.io import load_density_csv, save_density_csv
 
+# the Wishart draw's helper thread comes from a lazy import inside the draw
+assert "concurrent.futures" not in sys.modules
 loaded = ["scipy" in sys.modules]
 x = np.random.default_rng(0).standard_normal((200, 2000))
 np.savetxt("eigs.txt", np.linalg.eigvalsh(x @ x.T / 2000))

@@ -1,4 +1,6 @@
+import threading
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from freedec import (
     wachter_law,
     wigner_law,
 )
+from freedec.ensembles import _wishart
 
 ALL_LAWS = {
     "wigner": wigner_law(2.0),
@@ -430,3 +433,99 @@ def test_meixner_tridiagonal_spectral_measure():
 def test_wishart_needs_dimensions():
     with pytest.raises(InputError):
         draw_ensemble("mp", 100, seed=1)
+
+
+# ---------------------------------------------------------------------------
+# The chunked Wishart draw: one chunk of normals is drawn ahead on a helper
+# thread while the previous chunk's X X^T is added.
+
+
+def _serial_wishart(rng, n, d):
+    # the acceptance fixture's loop: one chunk at a time, in stream order
+    a = np.zeros((n, n))
+    done = 0
+    while done < d:
+        cols = min(10000, d - done)
+        x = rng.standard_normal((n, cols))
+        a += x @ x.T
+        done += cols
+    return (a + a.T) / (2.0 * d)
+
+
+@pytest.mark.parametrize("d", [3, 9999, 20000, 25001])
+def test_mp_draw_matches_serial_loop_bit_for_bit(d):
+    mat = draw_ensemble("mp", 30, seed=11, d=d).matrix
+    ref = _serial_wishart(make_rng(11), 30, d)
+    assert mat.tobytes() == ref.tobytes()
+
+
+def test_wachter_draw_matches_serial_loop_bit_for_bit():
+    n, d1, d2 = 30, 25001, 20000
+    mat = draw_ensemble("wachter", n, seed=12, d1=d1, d2=d2).matrix
+    rng = make_rng(12)
+    s1 = _serial_wishart(rng, n, d1)
+    s2 = _serial_wishart(rng, n, d2)
+    chol = np.linalg.cholesky(s1 + s2)
+    inv = np.linalg.solve(chol, np.linalg.solve(chol, s1).T)
+    assert mat.tobytes() == ((inv + inv.T) / 2.0).tobytes()
+
+
+class _StubNormals:
+    """A ``standard_normal`` source that can fail, misshape, and count its live chunks."""
+
+    def __init__(self, raise_at=None, misshape_at=None):
+        self.raise_at, self.misshape_at = raise_at, misshape_at
+        self.calls = self.live = self.peak = 0
+        self._lock = threading.Lock()
+
+    def _release(self):
+        with self._lock:
+            self.live -= 1
+
+    def standard_normal(self, shape):
+        self.calls += 1
+        if self.calls == self.raise_at:
+            raise RuntimeError("stub draw failed")
+        if self.calls == self.misshape_at:
+            shape = (shape[0] + 1, shape[1])
+        x = np.full(shape, float(self.calls))
+        with self._lock:
+            self.live += 1
+            self.peak = max(self.peak, self.live)
+        weakref.finalize(x, self._release)
+        return x
+
+
+@pytest.mark.parametrize("fault, error", [
+    ({"raise_at": 2}, RuntimeError),  # the helper thread's draw raises
+    ({"misshape_at": 2}, ValueError),  # this thread's update raises
+])
+def test_wishart_failure_reaches_caller_and_joins_helper(fault, error):
+    stub = _StubNormals(**fault)
+    threads = threading.active_count()
+    caught = []
+
+    def draw():
+        try:
+            _wishart(stub, 4, 50, chunk=10)
+        except Exception as exc:
+            caught.append(exc)
+
+    caller = threading.Thread(target=draw, daemon=True)
+    caller.start()
+    caller.join(timeout=60)
+    assert not caller.is_alive()  # the draw returned: no helper was left blocked
+    assert len(caught) == 1 and isinstance(caught[0], error)
+    assert threading.active_count() == threads
+    assert stub.calls <= 3  # the draw stopped within one chunk of the failure
+
+
+def test_wishart_draws_at_most_one_chunk_ahead():
+    stub = _StubNormals()
+    mat = _wishart(stub, 3, 400, chunk=2)
+    # chunk k is all k: sum_k 2 k^2 over k = 1..200, over d, in every entry
+    assert np.all(mat == sum(2.0 * k * k for k in range(1, 201)) / 400)
+    assert stub.calls == 200
+    # the chunk being added and the one drawn ahead: 2, as in the serial
+    # loop; drawing every chunk ahead would keep up to 200 alive
+    assert stub.peak <= 3
