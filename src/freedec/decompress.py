@@ -6,11 +6,12 @@ x + i delta is reached from the label z that solves
 
     x + i delta = z - (r - 1) / m0(z),
 
-and the decompressed transform there is m'(x + i delta) = m0(z) / r.  Every
-evaluator supplies the decompressed transform itself through
-``decompressed(ratio)``: closed-form laws as the decompressed law's
-quadratic (``ensembles.decompressed_law``), fitted models as the followed
-root of one Pade approximant's characteristic polynomial
+and the decompressed transform there is m'(x + i delta) = m0(z) / r.  An
+evaluator is read through ``support``, ``density`` and
+``decompressed(ratio, order=None)`` alone, and supplies the decompressed
+transform itself: closed-form laws as the decompressed law's quadratic
+(``ensembles.decompressed_law``), fitted models as the followed root of
+one Pade approximant's characteristic polynomial
 (``stieltjes.FollowedRoot``).  ``decompress_density`` takes the grid from
 its support, the density from Im m' / pi and the labels from
 z = x + i delta + (r - 1) / (r m'), with no iteration of its own.

@@ -70,7 +70,7 @@ class DensityModel:
     """Smoothed spectral density on a compact support interval."""
 
     support: tuple[float, float]
-    basis: str  # always 'chebyshev-u', the one basis with a second-sheet evaluator
+    basis: str  # always 'chebyshev-u', the one basis with an evaluator
     psi: np.ndarray
     degenerate_support: bool = False
     repaired: bool = False
@@ -203,10 +203,7 @@ def repair_positivity_mass(model):
         neg = np.minimum(rho + _REPAIR_TOL_NEG, 0.0)
         mass_err = float(mass_vec @ psi) - 1.0
         if neg.min() == 0.0 and abs(mass_err) <= _REPAIR_TOL_MASS:
-            dist = np.linalg.norm(psi - psi0)
-            if best is None or dist < best[0]:
-                best = (dist, psi.copy())
-            break
+            break  # feasible: the step that reached this iterate recorded it
         grad = 2.0 * (basis @ neg) / grid.size + 2.0 * mass_err * mass_vec
         gnorm = np.linalg.norm(grad)
         if gnorm == 0:

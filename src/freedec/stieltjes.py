@@ -1,23 +1,22 @@
-"""Branch-aware Stieltjes transform evaluators.
+"""Stieltjes transform evaluators and their decompressed transforms.
 
 Estimators of m(z) = integral rho(x)/(x - z) dx for a compactly supported
 density:
 
 * Pade-Chebyshev, the evaluator for fitted models: the Chebyshev-U
   expansion of rho turns the transform into a power series in the inverse
-  Joukowski variable.  Its diagonal Pade approximants, solved once per
-  model, keep working outside the series' disk of convergence, which gives
-  the second-sheet continuation for free.
+  Joukowski variable w.  Its diagonal Pade approximants N(w)/D(w), solved
+  once per model, keep working outside the series' disk of convergence,
+  and the w-plane holds every sheet of the transform.
 * Law: the closed-form transform of a benchmark ensemble law.
 
-All evaluators share the same interface: ``evaluate(z, branch)`` with branch
-'principal' (cut on the support) or 'secondary' (continued through the cut,
-discontinuous on the real axis outside it), ``density`` for the underlying
-model, and ``decompressed(ratio)``, the decompressed transform with its
-support.  For a law that is the decompressed law in closed form; for a
-fitted model it is the followed root of one Pade approximant's
-characteristic polynomial (``FollowedRoot``).  Both raise ``InputError``
-for a ratio outside the decompression domain.
+All evaluators share the same interface: ``support``, ``density`` for the
+underlying model, and ``decompressed(ratio)``, the decompressed transform
+with its support.  For a law that is the decompressed law in closed form;
+for a fitted model it is the followed root of one Pade approximant's
+characteristic polynomial (``FollowedRoot``), and ratio 1 with
+``order=approximant_count`` gives the model's own transform.  Both raise
+``InputError`` for a ratio outside the decompression domain.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from numpy.polynomial import polynomial as npoly
 
 from . import ensembles
 from .decompress import auto_grid, default_delta
-from .density_fit import _affine_to_unit
 from .errors import InputError, NumericalError
 
 __all__ = [
@@ -60,14 +58,6 @@ def joukowski_inverse(z):
     return out if out.ndim else complex(out)
 
 
-def _joukowski_second_sheet(z):
-    """Continuation of J through (-1, 1): z + sqrt(z^2 - 1) below the axis."""
-    z = np.asarray(z, dtype=complex)
-    s = ensembles._sqrt_cut(z, -1.0, 1.0)
-    out = np.where(z.imag < 0, z + s, z - s)
-    return out if out.ndim else complex(out)
-
-
 # ----------------------------------------------------------------------
 # evaluators
 
@@ -83,98 +73,77 @@ _SUPPORT_THRESHOLD = 1e-4  # support = where the density exceeds this fraction o
 _MASS_TOL = 1e-2  # largest mass error of an admissible approximant
 
 
+def _trimmed(p):
+    """p without its trailing zeros; an all-zero p keeps one."""
+    return np.trim_zeros(p, "b") if p.any() else p[:1]
+
+
 def _diagonal_pade(coeffs):
     """Diagonal Pade approximants [k/k] of the power series sum_i c_i w^i.
 
-    Returns ``(num, den, breakdown)``.  Row k of the coefficient matrices
-    (low degree first, zero-padded to the series length) is [k/k] for
-    k = 1 .. floor((n - 1) / 2); row 0 is the plain partial sum.  Each
-    denominator solves its k x k Toeplitz system by minimum-norm least
-    squares (LAPACK gelsd; singular values below eps times the largest count
-    as zero), so a series that is exactly rational of lower degree, whose
-    deeper systems are singular, still gives that rational function.  [k/k]
-    needs c_1 .. c_2k nonzero and finite; the list stops before the first k
-    without them, and ``breakdown`` reports whether that cut it short.
+    Returns ``(approximants, breakdown)``.  Entry k of the list is the pair
+    (N, D) of [k/k]'s numerator and denominator (low degree first, trailing
+    zeros dropped) for k = 1 .. floor((n - 1) / 2); entry 0 is the plain
+    partial sum, (c, 1).  Each denominator solves its k x k Toeplitz system
+    by minimum-norm least squares (LAPACK gelsd; singular values below eps
+    times the largest count as zero), so a series that is exactly rational
+    of lower degree, whose deeper systems are singular, still gives that
+    rational function.  [k/k] needs c_1 .. c_2k nonzero and finite; the
+    list stops before the first k without them, and ``breakdown`` reports
+    whether that cut it short.
     """
     n = coeffs.size
     k_max = (n - 1) // 2
     unusable = np.flatnonzero((coeffs[1:] == 0) | ~np.isfinite(coeffs[1:]))
     count = k_max if unusable.size == 0 else min(k_max, unusable[0] // 2)
-    num = np.zeros((count + 1, n))
-    den = np.zeros((count + 1, n))
-    num[0] = coeffs
-    den[0, 0] = 1.0
+    approximants = [(_trimmed(coeffs), np.ones(1))]
     for k in range(1, count + 1):
         steps = np.arange(k)
         toeplitz = coeffs[k + steps[:, np.newaxis] - steps]  # entry (i, j) is c_(k+i-j)
         rhs = -coeffs[k + 1 : 2 * k + 1]
         q = np.concatenate([[1.0], np.linalg.lstsq(toeplitz, rhs, rcond=np.finfo(float).eps)[0]])
-        den[k, : k + 1] = q
-        num[k, : k + 1] = np.convolve(q, coeffs[: k + 1])[: k + 1]
-    return num, den, count < k_max
+        approximants.append((_trimmed(np.convolve(q, coeffs[: k + 1])[: k + 1]), _trimmed(q)))
+    return approximants, count < k_max
+
+
+def _spread(p):
+    """A polynomial in v = w^2 as one in w (low degree first)."""
+    out = np.zeros(2 * p.size - 1)
+    out[::2] = p
+    return out
 
 
 class ChebyshevPadeEvaluator:
-    """Second-sheet Stieltjes evaluator for Chebyshev-U density models.
+    """Stieltjes evaluator for Chebyshev-U density models.
 
     m(z) = -pi w S(w) with w = J(M(z)) and S(w) = sum_k c_k w^k.  The
-    diagonal Pade approximants of S are solved once, at construction
-    (``approximant_count`` of them; ``breakdown`` when a zero coefficient
-    cut the list short).  They converge on both Joukowski sheets, so
-    continuing through the support cut only requires switching the J branch
-    below the axis.  An even series, whose odd coefficients are all zero,
-    has no [k/k] of its own (c_1 = 0 breaks the list at once); it is
-    evaluated as S(w) = T(w^2) with the approximants of the series
-    T(v) = sum_j c_2j v^j, which ``approximant_count`` and ``breakdown``
-    then describe.
-
-    ``evaluate`` uses the deepest approximant (the partial sum when there
-    is none), pointwise, so a point's value does not depend on the other
-    points in the call.  ``decompressed(ratio)`` chooses the approximant a
-    decompression uses.
+    diagonal Pade approximants S = N/D are solved once, at construction,
+    as polynomials in w (``approximant_count`` of them; ``breakdown`` when
+    a zero coefficient cut the list short).  An even series, whose odd
+    coefficients are all zero, has no [k/k] of its own (c_1 = 0 breaks the
+    list at once); its approximants are those of T(v) = sum_j c_2j v^j at
+    v = w^2, which ``approximant_count`` and ``breakdown`` then describe.
+    ``decompressed(ratio)`` chooses the approximant a decompression uses.
 
     Trailing zero coefficients (the tail cut by ``truncate_tail``) are
     dropped first: they leave the series and its approximants unchanged,
-    but would widen every evaluation and read as a breakdown.
+    but would read as a breakdown.
     """
-
-    method = "pade-chebyshev"
 
     def __init__(self, model):
         self.model, self.support = model, model.support
         coeffs = model.psi
         nonzero = np.flatnonzero(coeffs)
         self.coeffs = coeffs[: nonzero[-1] + 1 if nonzero.size else 1]
-        self._even = not np.any(self.coeffs[1::2])
-        series = self.coeffs[::2] if self._even else self.coeffs
-        self._num, self._den, self.breakdown = _diagonal_pade(series)
-        self.approximant_count = self._num.shape[0] - 1
-
-    def evaluate(self, z, branch="secondary"):
-        u = _affine_to_unit(np.asarray(z, dtype=complex), self.support).ravel()
-        if branch == "principal":
-            w = joukowski_inverse(u)
-        elif branch == "secondary":
-            w = _joukowski_second_sheet(u)
-        else:
-            raise InputError(f"unknown branch {branch!r}")
-        k = self.approximant_count
-        # far from the support the powers overflow; such points come out non-finite
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            v = w * w if self._even else w
-            out = -np.pi * w * npoly.polyval(v, self._num[k]) / npoly.polyval(v, self._den[k])
-        out = out.reshape(np.shape(z))
-        return out if out.ndim else complex(out)
+        even = not np.any(self.coeffs[1::2])
+        approximants, self.breakdown = _diagonal_pade(self.coeffs[::2] if even else self.coeffs)
+        if even:
+            approximants = [(_spread(num), _spread(den)) for num, den in approximants]
+        self._approximants = approximants
+        self.approximant_count = len(approximants) - 1
 
     def density(self, x):
         return self.model.density(x)
-
-    def _in_w(self, k):
-        """Numerator and denominator of [k/k] as polynomials in w (low degree first)."""
-        num, den = (np.trim_zeros(p, "b") if p.any() else p[:1] for p in (self._num[k], self._den[k]))
-        if self._even:
-            num, den = (np.ravel(np.column_stack([p, np.zeros_like(p)]))[:-1] for p in (num, den))
-        return num, den
 
     def decompressed(self, ratio, order=None):
         """The decompressed transform of the deepest admissible approximant.
@@ -188,10 +157,10 @@ class ChebyshevPadeEvaluator:
             raise NumericalError("decompression failed: the model has non-finite coefficients")
         r = float(ratio)
         if order is not None:
-            return FollowedRoot(*self._in_w(order), self.support, r, order)
+            return FollowedRoot(*self._approximants[order], self.support, r, order)
         delta = default_delta(self.support)
         for k in range(self.approximant_count, -1, -1):
-            followed = FollowedRoot(*self._in_w(k), self.support, r, k)
+            followed = FollowedRoot(*self._approximants[k], self.support, r, k)
             if followed.admissible(delta):
                 followed.candidates_tried = self.approximant_count + 1 - k
                 return followed
@@ -444,14 +413,9 @@ class FollowedRoot:
 class LawEvaluator:
     """Exact evaluator backed by a closed-form ensemble law."""
 
-    method = "analytic"
-
     def __init__(self, law):
         self.law = law
         self.support = law.support
-
-    def evaluate(self, z, branch="secondary"):
-        return ensembles.law_stieltjes(self.law, z, branch)
 
     def density(self, x):
         return ensembles.law_density(self.law, x)
@@ -463,5 +427,5 @@ class LawEvaluator:
 
 
 def evaluator_for_model(model):
-    """The second-sheet evaluator for a fitted model: Pade-Chebyshev."""
+    """The evaluator for a fitted model: Pade-Chebyshev."""
     return ChebyshevPadeEvaluator(model)

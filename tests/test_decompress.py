@@ -312,20 +312,70 @@ def test_closed_form_matches_newton_on_law_cases():
             assert np.max(np.abs(closed.roots - solved.roots) / (1 + np.abs(closed.roots))) <= 1e-3
 
 
-def test_closed_form_through_forwarding_wrapper():
-    # The closed form is found by attribute, so a wrapper that forwards
-    # attributes (as a tracing proxy does) gets the same result.
-    class Forwarding:
-        def __init__(self, inner):
-            self._inner = inner
+class _InterfaceOnly:
+    """An evaluator seen through its interface alone, as a tracing proxy
+    sees it: ``support``, ``density`` and ``decompressed``; any other
+    attribute raises ``AttributeError``."""
 
-        def __getattr__(self, name):
-            return getattr(self._inner, name)
+    _INTERFACE = ("support", "density", "decompressed")
 
-    ev = LawEvaluator(meixner_law(0.1, 4.0, 0.6))
-    direct = decompress_density(DecompressionRequest(evaluator=ev, ratio=8.0))
-    wrapped = decompress_density(DecompressionRequest(evaluator=Forwarding(ev), ratio=8.0))
-    assert np.array_equal(wrapped.density, direct.density)
+    def __init__(self, inner):
+        self._inner = inner
+
+    def __getattr__(self, name):
+        if name not in self._INTERFACE:
+            raise AttributeError(name)
+        return getattr(self._inner, name)
+
+
+def test_pipeline_needs_only_the_evaluator_interface():
+    # The decompression, support tracking and crossing check use nothing but
+    # the interface, so a proxy that forwards only it gets the same results,
+    # bit for bit.
+    evaluators = [LawEvaluator(meixner_law(0.1, 4.0, 0.6)),
+                  ChebyshevPadeEvaluator(_exact_model(marchenko_pastur_law(1 / 50), k_max=20))]
+    for ev in evaluators:
+        proxy = _InterfaceOnly(ev)
+        with pytest.raises(AttributeError):
+            proxy.approximant_count
+        for ratio in (1.0, 8.0):
+            direct, wrapped = (decompress_density(DecompressionRequest(evaluator=e, ratio=ratio))
+                               for e in (ev, proxy))
+            for name in ("grid", "density", "roots", "failed", "support", "ratio", "delta"):
+                assert np.array_equal(getattr(direct, name), getattr(wrapped, name))
+        assert track_support(proxy, np.log(8.0)) == track_support(ev, np.log(8.0))
+        lo, hi = ev.support
+        z = complex(0.5 * (lo + hi), 0.1 * (hi - lo))
+        assert verify_crossing(proxy, z, t_max=14.0) == verify_crossing(ev, z, t_max=14.0)
+
+
+def test_support_probe_widens_just_above_ratio_one(monkeypatch):
+    # Just above ratio 1 the decompressed density's run reaches the ends of
+    # the probe's first width, so the probe doubles it.  Measured: each case
+    # widens once, with no failed point; edges within 6.5e-3 of the width of
+    # the decompressed law's (MP(0.5) lower edge) and mass within 1.6e-3 of 1.
+    cases = [
+        (marchenko_pastur_law(1 / 50), _exact_model(marchenko_pastur_law(1 / 50), k_max=20), 1.001),
+        (marchenko_pastur_law(0.5), _exact_model(marchenko_pastur_law(0.5), k_max=40), 1.01),
+        (wigner_law(2.0), _even_model(wigner_law(2.0), 40), 1.001),
+        (kesten_mckay_law(4), _even_model(kesten_mckay_law(4), 50), 1.01),
+    ]
+    widths = []
+    probe_line = FollowedRoot._probe_line
+
+    def recording(self, doubling):
+        widths.append((self, doubling))
+        return probe_line(self, doubling)
+
+    monkeypatch.setattr(FollowedRoot, "_probe_line", recording)
+    for law, model, ratio in cases:
+        widths.clear()
+        res = decompress_density(DecompressionRequest(evaluator=ChebyshevPadeEvaluator(model), ratio=ratio))
+        assert max(d for followed, d in widths if followed is res.decompressed) >= 1
+        assert not res.failed.any()
+        lo, hi = decompressed_law(law, ratio).support
+        assert np.max(np.abs(np.subtract(res.support, (lo, hi)))) <= 1e-2 * (hi - lo)
+        assert abs(res.mass() - 1.0) <= 5e-3
 
 
 def test_explicit_grid_and_validation():

@@ -154,6 +154,17 @@ def test_repair_negative_lobe():
     assert fixed.repaired
 
 
+def test_repair_blends_when_the_descent_stalls():
+    # the projected-gradient descent reaches no feasible point on these, so
+    # the repair blends toward the single-mode model and flags it
+    for psi in ([0.049, -0.089, -0.086, -0.17], [174.073, 87.66]):
+        bad = DensityModel(support=(-1.0, 1.0), basis="chebyshev-u", psi=np.array(psi))
+        fixed = repair_positivity_mass(bad)
+        assert fixed.repaired and fixed.repair_warning
+        assert fixed.mass() == pytest.approx(1.0, abs=1e-6)
+        assert fixed.density(np.linspace(-1.0, 1.0, 2048)).min() >= -1e-9
+
+
 def test_repair_keeps_truncated_tail_zero():
     # a log-spaced spectrum needs the repair; it must not refill the tail
     # that truncate_tail zeroed
