@@ -108,9 +108,9 @@ def decompress_density(request):
     offset delta only keeps the decompressed transform off the real axis,
     and at t = 0 the Plemelj limit is available directly.  Otherwise the
     evaluator's ``decompressed(ratio)`` gives the support (and with it the
-    auto grid) and the decompressed transform at x + i delta; a point where
-    that is not finite is failed, and more than 5% failed inside the
-    support raise ``NumericalError``.
+    auto grid) and the decompressed transform at x + i delta.  A point where
+    that transform, or at ratio 1 the density, is not finite is failed, and
+    more than 5% failed inside the support raise ``NumericalError``.
     """
     ratio = request.resolved_ratio()
     evaluator = request.evaluator
@@ -128,21 +128,22 @@ def decompress_density(request):
 
     targets = grid + 1j * delta
     if decompressed is None:
-        density = np.maximum(np.asarray(evaluator.density(grid), dtype=float), 0.0)
-        roots, failed = targets, np.zeros(grid.size, dtype=bool)
+        density = np.asarray(evaluator.density(grid), dtype=float)
+        roots, failed = targets, ~np.isfinite(density)
     else:
         m = decompressed.stieltjes(targets)
         with np.errstate(divide="ignore", invalid="ignore"):
             roots = targets + (ratio - 1.0) / (ratio * m)
         failed = ~(np.isfinite(m) & np.isfinite(roots))
-        in_support = (grid >= support[0]) & (grid <= support[1])
-        fatal = failed & in_support
-        if fatal.sum() > 0.05 * max(in_support.sum(), 1):
-            raise NumericalError(
-                f"decompressed transform failed on {fatal.sum()} of {in_support.sum()} "
-                f"grid points inside the support"
-            )
-        density = np.where(failed, np.nan, np.maximum(m.imag / np.pi, 0.0))
+        density = m.imag / np.pi
+    in_support = (grid >= support[0]) & (grid <= support[1])
+    fatal = failed & in_support
+    if fatal.sum() > 0.05 * max(in_support.sum(), 1):
+        raise NumericalError(
+            f"decompression failed on {fatal.sum()} of {in_support.sum()} "
+            f"grid points inside the support"
+        )
+    density = np.where(failed, np.nan, np.maximum(density, 0.0))
     return DecompressionResult(grid, density, support, ratio, delta, roots, failed, decompressed)
 
 

@@ -79,8 +79,8 @@ class DensityModel:
 
     def __post_init__(self):
         lo, hi = self.support
-        if not lo < hi:
-            raise InputError("support must satisfy lo < hi")
+        if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+            raise InputError("support must be finite with lo < hi")
         if self.basis != "chebyshev-u":
             raise InputError(f"unknown basis {self.basis!r}; only 'chebyshev-u' is supported")
         object.__setattr__(self, "psi", np.asarray(self.psi, dtype=float))

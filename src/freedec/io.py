@@ -66,9 +66,10 @@ def model_from_dict(doc):
     A non-null entry the model cannot represent (a glue continuation, a
     coefficient filter) raises ``InputError``, since ignoring it would
     silently change what the file decompresses to; so does a basis other
-    than Chebyshev-U, and so does a missing or malformed support, basis,
-    coefficient list or ``fit_meta``.  A stored ``gamma``, a fit setting that
-    never changed the evaluated model, is ignored.
+    than Chebyshev-U, and so does a missing or malformed support (an
+    infinite edge included), basis, coefficient list or ``fit_meta``.  A
+    stored ``gamma``, a fit setting that never changed the evaluated model,
+    is ignored.
     """
     if not isinstance(doc, dict):
         raise InputError("model document is not a JSON object")
@@ -121,6 +122,8 @@ def load_model(path):
 def save_density_csv(path, x, density):
     x = np.asarray(x, dtype=float)
     density = np.asarray(density, dtype=float)
+    if not (np.isfinite(x).all() and np.isfinite(density).all()):
+        raise InputError("density grid and values must be finite")
     if np.any(np.diff(x) <= 0):
         raise InputError("density grid must be strictly increasing")
     if np.any(density < 0):
@@ -143,8 +146,10 @@ def load_density_csv(path):
         raise InputError(f"cannot read density CSV {path}: {exc}") from exc
     if x.size == 0:
         raise InputError(f"density CSV {path} has no rows")
+    if not (np.isfinite(x).all() and np.isfinite(density).all()):
+        raise InputError(f"density CSV {path} has a non-finite x or density")
     if np.any(np.diff(x) <= 0):
-        raise InputError("density CSV grid must be strictly increasing")
+        raise InputError(f"density CSV {path} grid must be strictly increasing")
     if np.any(density < 0):
-        raise InputError("density CSV values must be nonnegative")
+        raise InputError(f"density CSV {path} values must be nonnegative")
     return x, density

@@ -1,5 +1,8 @@
 """Dense symmetric eigensolves, random principal submatrices, Haar orthogonals.
 
+Eigenvalues come from LAPACK ``syevd`` (values only) through numpy's
+``eigvalsh``, so the package depends on numpy alone.
+
 Everything here is deterministic given a seed.  Randomness flows through a
 single counter-based generator (Philox, 64-bit) keyed by the user seed, so
 independent streams can be split off without correlating parallel runs.
@@ -84,14 +87,11 @@ def eigenvalues_symmetric(a):
     -------
     SpectrumSample
     """
-    import scipy.linalg  # loaded here so that importing freedec does not load scipy
-
     a = _check_symmetric(a)
     try:
-        ev = scipy.linalg.eigh(a, eigvals_only=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        ev = np.linalg.eigvalsh(a)  # ascending, as SpectrumSample checks
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NumericalError(f"symmetric eigensolve failed to converge: {exc}") from exc
-    ev = np.sort(ev)
     return SpectrumSample(ev, a.shape[0])
 
 

@@ -44,20 +44,24 @@ save_density_csv("pos.csv", x[x > 0], rho[x > 0])
 assert main(["metrics", "--a", "pos.csv", "--b", "pos.csv", "--order", "400"]) == 0
 loaded.append("scipy" in sys.modules)
 assert main(["sample", "--ensemble", "wigner", "--n", "8", "--seed", "1", "-o", "s.txt"]) == 0
+# the Wishart draw and the eigensolve
+assert main(["sample", "--ensemble", "mp", "--n", "30", "--d", "300", "--seed", "1",
+             "-o", "mp.txt"]) == 0
 loaded.append("scipy" in sys.modules)
 print(loaded)
 """
 
 
-def test_scipy_loads_only_for_the_eigensolve(tmp_path):
+def test_scipy_never_loads(tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", _COLD_START], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
-    # not after `import freedec`, not after fit/decompress/metrics, only once sample ran
-    assert proc.stdout.splitlines()[-1] == "[False, False, True]"
+    # not after `import freedec`, not after fit/decompress/metrics, not after sample
+    assert proc.stdout.splitlines()[-1] == "[False, False, False]"
     assert np.loadtxt(tmp_path / "s.txt").size == 8
+    assert np.loadtxt(tmp_path / "mp.txt").size == 30
 
 
 def _read(path):
@@ -239,17 +243,20 @@ def test_model_schema_validation(tmp_path):
 
 
 def test_decompress_fault_injection(tmp_path, capsys):
-    # NaN coefficients give an unsolvable field: nonzero exit, diagnostics
+    # NaN coefficients give an unsolvable field, or at ratio 1 a NaN density:
+    # nonzero exit, diagnostics, no density file
     model = DensityModel(support=(0.0, 1.0), basis="chebyshev-u",
                          psi=np.array([4 / np.pi, np.nan]))
     path = tmp_path / "broken.json"
     save_model(path, model)
-    code = main(
-        ["decompress", "--model", str(path), "--ratio", "32",
-         "--grid", "0:5:100", "-o", str(tmp_path / "d.csv")]
-    )
-    assert code == 3
-    assert "failed" in capsys.readouterr().err
+    for ratio in ("1", "32"):
+        code = main(
+            ["decompress", "--model", str(path), "--ratio", ratio,
+             "--grid", "0:5:100", "-o", str(tmp_path / "d.csv")]
+        )
+        assert code == 3
+        assert "failed" in capsys.readouterr().err
+        assert not (tmp_path / "d.csv").exists()
 
 
 def test_decompress_non_finite_input_exits_2(tmp_path, capsys):
@@ -302,9 +309,20 @@ _BAD_INPUTS = {
     "decompress fit_meta not an object": (
         _DECOMPRESS_BAD, json.dumps({**_GOOD_MODEL, "fit_meta": [1]})
     ),
+    "decompress infinite support": (
+        _DECOMPRESS_BAD, json.dumps({**_GOOD_MODEL, "support": [0, float("inf")]})
+    ),
     "metrics non-numeric cell": (["metrics", "--b", "{path}", "--a"],
                                  "x,density\n0.0,1.0\n0.5,abc\n1.0,1.0\n"),
     "metrics no rows": (["metrics", "--b", "{path}", "--a"], "x,density\n"),
+    "metrics nan density": (["metrics", "--b", "{path}", "--a"],
+                            "x,density\n0.0,1.0\n0.5,nan\n1.0,1.0\n"),
+    "metrics inf grid": (["metrics", "--b", "{path}", "--a"],
+                         "x,density\n0.0,1.0\n0.5,1.0\ninf,1.0\n"),
+    "metrics decreasing grid": (["metrics", "--b", "{path}", "--a"],
+                                "x,density\n0.0,1.0\n1.0,1.0\n0.5,1.0\n"),
+    "metrics negative density": (["metrics", "--b", "{path}", "--a"],
+                                 "x,density\n0.0,1.0\n0.5,-1.0\n1.0,1.0\n"),
 }
 
 
@@ -346,6 +364,9 @@ def test_density_csv_validation(tmp_path):
     path.write_text("x,density\n1.0,0.5\n0.5,0.5\n")
     with pytest.raises(Exception):
         load_density_csv(path)
+    for x, rho in (([0.0, np.inf], [1.0, 1.0]), ([0.0, 1.0], [np.nan, 1.0])):
+        with pytest.raises(InputError, match="finite"):
+            save_density_csv(path, x, rho)
 
 
 # ---------------------------------------------------------------------------

@@ -104,6 +104,12 @@ def test_model_rejects_other_basis():
         DensityModel(support=(0.0, 1.0), basis="jacobi", psi=np.array([1.0, 0.1]))
 
 
+def test_model_rejects_infinite_support():
+    for support in ((0.0, np.inf), (-np.inf, 1.0), (np.nan, 1.0)):
+        with pytest.raises(InputError, match="finite"):
+            DensityModel(support=support, basis="chebyshev-u", psi=np.array([1.0]))
+
+
 def test_affine_equivariance():
     s = _semicircle_sample(5000, seed=3)
     scale, shift = 2.5, -0.7
