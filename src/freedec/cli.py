@@ -16,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -102,9 +103,13 @@ def _cmd_sample(args):
 
 def _cmd_fit(args):
     try:
-        values = np.loadtxt(args.eigs, ndmin=1)
+        with warnings.catch_warnings():  # no values is reported below, as an InputError
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            values = np.loadtxt(args.eigs, ndmin=1)
     except (OSError, ValueError) as exc:
         raise InputError(f"cannot read eigenvalues {args.eigs}: {exc}") from exc
+    if values.size == 0:
+        raise InputError(f"eigenvalues {args.eigs} has no values")
     if values.ndim != 1:
         raise InputError(f"eigenvalues {args.eigs} must be one column, got shape {values.shape}")
     sample = la.SpectrumSample(np.sort(values), values.size)
@@ -136,8 +141,9 @@ def _cmd_decompress(args):
     ratio = args.ratio
     if ratio is None:
         n_s = model.meta.get("n_s")
-        if not n_s:
-            raise InputError("--target-n needs a model with fit_meta.n_s; use --ratio")
+        if not (type(n_s) in (int, float) and n_s > 0):
+            raise InputError(f"--target-n needs a positive fit_meta.n_s in model {args.model}, "
+                             f"got {n_s!r}; use --ratio")
         ratio = args.target_n / n_s
     request = dc.DecompressionRequest(evaluator=evaluator, ratio=ratio, grid=_parse_grid(args.grid))
     result = dc.decompress_density(request)

@@ -150,8 +150,8 @@ def decompress_density(request):
 def track_support(evaluator, t):
     """Support interval of the decompressed density at scale t: the
     support of ``evaluator.decompressed(e^t)``."""
-    if t < 0:
-        raise InputError("decompression scale t must be >= 0")
+    if not 0 <= t < np.inf:
+        raise InputError(f"decompression scale t must be finite and >= 0, got {t:g}")
     lo, hi = evaluator.support if t == 0 else evaluator.decompressed(np.exp(t)).support
     return (float(lo), float(hi))
 
@@ -178,6 +178,9 @@ def verify_crossing(evaluator, z, t_max=8.0, dt=0.05):
     z = complex(z)
     if z.imag <= 0:
         raise InputError("crossing verification expects z in the open upper half-plane")
+    if not (0 < dt < np.inf and np.isfinite(t_max)):
+        raise InputError(f"crossing verification needs a finite step dt > 0 and a finite t_max, "
+                         f"got dt={dt:g}, t_max={t_max:g}")
     lo, hi = evaluator.support
     width = hi - lo
     order = getattr(evaluator.decompressed(np.exp(dt)), "order", None)

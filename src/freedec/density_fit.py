@@ -165,9 +165,10 @@ def repair_positivity_mass(model):
 
     Feasible inputs are returned unchanged and pure mass violations are
     fixed by exact rescaling.  Otherwise a penalized projected-gradient
-    descent runs from the current coefficients; if it fails to reach
-    feasibility the result is blended toward the single-mode (pure weight
-    function) model, which is strictly positive, and flagged.
+    descent runs from the current coefficients and returns its first
+    feasible iterate; if it reaches none, the result is blended toward the
+    single-mode (pure weight function) model, which is strictly positive,
+    and flagged.
 
     Only the coefficients up to the last nonzero one move, so a tail zeroed
     by :func:`truncate_tail` stays zero.
@@ -197,13 +198,9 @@ def repair_positivity_mass(model):
 
     scale = max(np.linalg.norm(psi0), 1e-30)
     psi = psi0.copy()
-    best = None
     for _ in range(_REPAIR_ITER):
-        rho = density_of(psi)
-        neg = np.minimum(rho + _REPAIR_TOL_NEG, 0.0)
+        neg = np.minimum(density_of(psi) + _REPAIR_TOL_NEG, 0.0)
         mass_err = float(mass_vec @ psi) - 1.0
-        if neg.min() == 0.0 and abs(mass_err) <= _REPAIR_TOL_MASS:
-            break  # feasible: the step that reached this iterate recorded it
         grad = 2.0 * (basis @ neg) / grid.size + 2.0 * mass_err * mass_vec
         gnorm = np.linalg.norm(grad)
         if gnorm == 0:
@@ -212,31 +209,24 @@ def repair_positivity_mass(model):
         m = float(mass_vec @ psi)
         if m > 0.1:
             psi = psi / m
-            rho = density_of(psi)
-            if rho.min() >= -_REPAIR_TOL_NEG:
-                dist = np.linalg.norm(psi - psi0)
-                if best is None or dist < best[0]:
-                    best = (dist, psi.copy())
+            if density_of(psi).min() >= -_REPAIR_TOL_NEG:
+                return with_kept(psi / float(mass_vec @ psi), repair_warning=False)
 
-    warning = False
-    if best is None:
-        # Blend toward the strictly positive single-mode model until feasible.
-        floor = np.zeros_like(psi0)
-        floor[0] = 1.0 / mass_vec[0]
-        lo_t, hi_t = 0.0, 1.0
-        for _ in range(60):
-            theta = 0.5 * (lo_t + hi_t)
-            cand = theta * psi0 + (1.0 - theta) * floor
-            m = float(mass_vec @ cand)
-            if m > 0 and density_of(cand / m).min() >= -0.5 * _REPAIR_TOL_NEG:
-                lo_t = theta
-            else:
-                hi_t = theta
-        cand = lo_t * psi0 + (1.0 - lo_t) * floor
-        cand = cand / float(mass_vec @ cand)
-        best = (np.linalg.norm(cand - psi0), cand)
-        warning = True
-    return with_kept(best[1] / float(mass_vec @ best[1]), repair_warning=warning)
+    # Blend toward the strictly positive single-mode model until feasible.
+    floor = np.zeros_like(psi0)
+    floor[0] = 1.0 / mass_vec[0]
+    lo_t, hi_t = 0.0, 1.0
+    for _ in range(60):
+        theta = 0.5 * (lo_t + hi_t)
+        cand = theta * psi0 + (1.0 - theta) * floor
+        m = float(mass_vec @ cand)
+        if m > 0 and density_of(cand / m).min() >= -0.5 * _REPAIR_TOL_NEG:
+            lo_t = theta
+        else:
+            hi_t = theta
+    cand = lo_t * psi0 + (1.0 - lo_t) * floor
+    cand = cand / float(mass_vec @ cand)
+    return with_kept(cand / float(mass_vec @ cand), repair_warning=True)
 
 
 def _basis_matrix(support, x, order):

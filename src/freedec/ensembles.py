@@ -72,59 +72,55 @@ class EnsembleLaw:
         return law_stieltjes(self, z)
 
 
-def _atoms_from_quadratic(p, q, support):
-    """Point masses sit at real zeros of Q outside the open support.
+def _real_roots(c):
+    roots = npoly.polyroots(npoly.polytrim(c))
+    return np.sort(roots[np.abs(roots.imag) <= 1e-12 * (1.0 + np.abs(roots))].real)
 
-    The mass is the residue of -m at the pole, recovered from the Herglotz
-    limit eta * Im m(x0 + i eta) as eta -> 0+.
+
+def _make_law(name, params, p, q):
+    """The law of Q m^2 - P m + 1 = 0, with its support and atoms.
+
+    The support [lo, hi] is the pair of real roots of P^2 - 4Q.  Atoms sit
+    at the real zeros x0 of Q outside it where the principal branch
+    m = 2/(P + s) has its pole, P(x0) + s(x0) = 0 (there s^2 = P^2, so
+    sign P = -sign s); the mass, the residue of -m, is -P(x0)/Q'(x0).
     """
-    roots = npoly.polyroots(npoly.polytrim(q))
-    roots = roots[np.abs(roots.imag) <= 1e-12 * (1.0 + np.abs(roots))].real
-    lo, hi = support
-    scale = max(abs(lo), abs(hi), 1.0)
-    atoms = []
-    for x0 in roots:
-        if lo - 1e-12 * scale < x0 < hi + 1e-12 * scale:
-            continue
-        eta = 1e-7 * scale
-        m = _stieltjes_from_pq(p, support, np.array([x0 + 1j * eta]), "principal")[0]
-        mass = float(eta * m.imag)
-        if mass > 1e-10:
-            atoms.append((float(x0), mass))
-    return atoms
-
-
-def _make_law(name, params, support, p, q):
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
-    atoms = _atoms_from_quadratic(p, q, support)
-    return EnsembleLaw(name, params, support, p, q, atoms)
+    edges = _real_roots(npoly.polysub(npoly.polymul(p, p), 4.0 * q))
+    if edges.size != 2:
+        raise NumericalError(f"{name!r} has no bounded support")
+    lo, hi = float(edges[0]), float(edges[1])
+    atoms = []
+    for x0 in _real_roots(q):
+        s = -(2.0 + p[1]) * np.sign(x0 - hi) * np.sqrt(max((x0 - lo) * (x0 - hi), 0.0))
+        p0 = npoly.polyval(x0, p)
+        if p0 * s < 0:  # s is 0 inside the support and on its edges: no atom
+            atoms.append((float(x0), float(-p0 / npoly.polyval(x0, npoly.polyder(q)))))
+    return EnsembleLaw(name, params, (lo, hi), p, q, atoms)
 
 
 def wigner_law(r=2.0):
     """Semicircle of radius ``r``: P = -z, Q = r^2/4, R(z) = (r^2/4) z."""
     if r <= 0:
         raise InputError("semicircle radius must be positive")
-    return _make_law("wigner", {"r": r}, (-r, r), [0.0, -1.0], [r * r / 4.0])
+    return _make_law("wigner", {"r": r}, [0.0, -1.0], [r * r / 4.0])
 
 
 def marchenko_pastur_law(lam):
     """Marchenko-Pastur with ratio ``lam``: P = 1 - lam - z, Q = lam z."""
     if lam <= 0:
         raise InputError("Marchenko-Pastur ratio must be positive")
-    edge = np.sqrt(lam)
-    support = ((1 - edge) ** 2, (1 + edge) ** 2)
-    return _make_law("mp", {"lam": lam}, support, [1 - lam, -1.0], [0.0, lam])
+    return _make_law("mp", {"lam": lam}, [1 - lam, -1.0], [0.0, lam])
 
 
 def kesten_mckay_law(d):
     """Kesten-McKay with degree parameter ``d >= 2``."""
     if d < 2:
         raise InputError("Kesten-McKay parameter d must be >= 2")
-    half = 2.0 * np.sqrt(d - 1.0)
     p = [0.0, (2.0 - d) / (d - 1.0)]
     q = [d * d / (d - 1.0), 0.0, -1.0 / (d - 1.0)]
-    return _make_law("kesten-mckay", {"d": d}, (-half, half), p, q)
+    return _make_law("kesten-mckay", {"d": d}, p, q)
 
 
 def wachter_law(a, b):
@@ -132,12 +128,9 @@ def wachter_law(a, b):
     if a <= 0 or b <= 0 or a + b <= 1:
         raise InputError("Wachter requires a > 0, b > 0 and a + b > 1")
     s = a + b
-    root = np.sqrt(a * (s - 1.0))
-    lo = ((np.sqrt(b) - root) / s) ** 2
-    hi = ((np.sqrt(b) + root) / s) ** 2
     p = [(a - 1.0) / (s - 1.0), -(s - 2.0) / (s - 1.0)]
     q = [0.0, 1.0 / (s - 1.0), -1.0 / (s - 1.0)]
-    return _make_law("wachter", {"a": a, "b": b}, (lo, hi), p, q)
+    return _make_law("wachter", {"a": a, "b": b}, p, q)
 
 
 def meixner_law(a, b, c):
@@ -152,10 +145,9 @@ def meixner_law(a, b, c):
         raise InputError("Meixner parameter b must be positive")
     if not 0 < c <= 1:
         raise InputError("Meixner parameter c must lie in (0, 1]")
-    half = 2.0 * np.sqrt(b)
     p = [-a * c, c - 2.0]
     q = [b * c * c, a * c, 1.0 - c]
-    return _make_law("meixner", {"a": a, "b": b, "c": c}, (a - half, a + half), p, q)
+    return _make_law("meixner", {"a": a, "b": b, "c": c}, p, q)
 
 
 # ----------------------------------------------------------------------
@@ -297,8 +289,8 @@ def decompressed_law(law, ratio):
     c / (c - 1) of a free Meixner law with c > 1 and is negative beyond it.
     """
     r = float(ratio)
-    if r < 1:
-        raise InputError("decompression ratio must be >= 1")
+    if not 1 <= r < np.inf:
+        raise InputError(f"decompression ratio must be finite and >= 1, got {r:g}")
     p = np.pad(np.asarray(law.p, dtype=float), (0, 2))[:2]
     q = np.pad(np.asarray(law.q, dtype=float), (0, 3))[:3]
     a = r - 1.0
@@ -307,12 +299,7 @@ def decompressed_law(law, ratio):
         raise InputError(f"ratio {r:g} is outside the decompression domain of {law.name!r}")
     p_new = r * (p - a * np.array([q[1], 2.0 * q[2]])) / c
     q_new = r * r * q / c
-    edges = npoly.polyroots(npoly.polysub(npoly.polymul(p_new, p_new), 4.0 * q_new))
-    edges = np.sort(edges[np.abs(edges.imag) <= 1e-12 * (1.0 + np.abs(edges))].real)
-    if edges.size != 2:
-        raise NumericalError(f"decompressed {law.name!r} has no bounded support")
-    support = (float(edges[0]), float(edges[1]))
-    return _make_law(f"{law.name} x{r:g}", {"source": law, "ratio": r}, support, p_new, q_new)
+    return _make_law(f"{law.name} x{r:g}", {"source": law, "ratio": r}, p_new, q_new)
 
 
 # ----------------------------------------------------------------------

@@ -144,8 +144,8 @@ def load_density_csv(path):
                 x, density = np.loadtxt(handle, delimiter=",", ndmin=2, usecols=(0, 1), unpack=True)
     except (OSError, ValueError) as exc:
         raise InputError(f"cannot read density CSV {path}: {exc}") from exc
-    if x.size == 0:
-        raise InputError(f"density CSV {path} has no rows")
+    if x.size < 2:
+        raise InputError(f"density CSV {path} has {x.size} rows; a density needs at least two")
     if not (np.isfinite(x).all() and np.isfinite(density).all()):
         raise InputError(f"density CSV {path} has a non-finite x or density")
     if np.any(np.diff(x) <= 0):

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import json
 import os
@@ -155,8 +156,8 @@ def test_fit_and_decompress_roundtrip(tmp_path, capsys):
     assert diag["pade_candidates_tried"] == diag["pade_approximants"] + 1 - diag["pade_order"]
 
 
-def _bench_reference():
-    spec = importlib.util.spec_from_file_location("bench_reference", ROOT / "bench" / "reference.py")
+def _bench_module(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", ROOT / "bench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # its dataclasses look their module up there
     spec.loader.exec_module(module)
@@ -168,7 +169,7 @@ def test_diag_counts_the_approximant_choice(tmp_path):
     # bench/workloads.py builds them): the choice tries 7, 7 and 11
     # approximants, deepest first, and the count of points the chosen
     # root's follow refined repeats exactly from run to run.
-    ref = _bench_reference()
+    ref = _bench_module("reference")
     mp, km = ref.marchenko_pastur(1 / 50), ref.kesten_mckay(4)
     model_path, dens_path = tmp_path / "model.json", tmp_path / "dens.csv"
     for law, order, ratio, tried in ((mp, 20, 8, 7), (mp, 20, 32, 7), (km, 50, 2, 11)):
@@ -181,6 +182,34 @@ def test_diag_counts_the_approximant_choice(tmp_path):
             diags.append(json.loads((tmp_path / "dens.diag.json").read_text()))
         assert diags[0]["pade_candidates_tried"] == tried
         assert diags[0]["refined_points"] == diags[1]["refined_points"]
+
+
+def test_bench_contract(tmp_path):
+    # What bench/ uses of the library: bench/tracing.py's wrappers around
+    # the public functions, DensityModel(basis=...), coefficients_effective(),
+    # DecompressionResult.degraded, track_support and evaluator_for_model.
+    # A library change that drops one of them breaks the benchmark.
+    import freedec.decompress as dc
+    import freedec.stieltjes as st
+
+    tracing = _bench_module("tracing")
+    originals = (dc.track_support, dc.decompress_density, st.evaluator_for_model)
+    eigs, model_path = tmp_path / "eigs.txt", tmp_path / "model.json"
+    x = np.random.default_rng(0).standard_normal((200, 2000))
+    np.savetxt(eigs, np.linalg.eigvalsh(x @ x.T / 2000))
+    with tracing.Tracer().installed() as tracer:
+        assert main(["fit", "--eigs", str(eigs), "-K", "8", "-o", str(model_path)]) == 0
+        argv = ["decompress", "--model", str(model_path), "--ratio", "2", "-o", str(tmp_path / "d.csv")]
+        assert main(argv) == 0
+        model = load_model(model_path)
+        dc.track_support(st.evaluator_for_model(model), 0.0)
+    assert (dc.track_support, dc.decompress_density, st.evaluator_for_model) == originals
+    for metric in ("density_fit.coeffs_nonzero", "decompress.grid_points", "decompress.track_s",
+                   "stieltjes.build_s"):
+        assert metric in tracer.totals
+    assert model.basis == "chebyshev-u"
+    assert np.array_equal(model.coefficients_effective(), model.psi)
+    assert "degraded" in {f.name for f in dataclasses.fields(dc.DecompressionResult)}
 
 
 def test_fit_k0_single_coefficient(tmp_path):
@@ -296,6 +325,7 @@ _BAD_INPUTS = {
     "fit non-numeric line": (["fit", "--eigs"], "0.5\nabc\n1.0\n"),
     "fit missing file": (["fit", "--eigs"], None),
     "fit two columns": (["fit", "--eigs"], "0.5 1.0\n0.7 1.2\n0.9 1.4\n"),
+    "fit empty file": (["fit", "--eigs"], ""),
     "decompress non-JSON": (_DECOMPRESS_BAD, "{not json"),
     "decompress no basis": (_DECOMPRESS_BAD, _model_without("basis")),
     "decompress no support": (_DECOMPRESS_BAD, _model_without("support")),
@@ -309,12 +339,19 @@ _BAD_INPUTS = {
     "decompress fit_meta not an object": (
         _DECOMPRESS_BAD, json.dumps({**_GOOD_MODEL, "fit_meta": [1]})
     ),
+    "decompress --target-n, n_s not a number": (
+        ["decompress", "--target-n", "4", "--model"], json.dumps({**_GOOD_MODEL, "fit_meta": {"n_s": "abc"}})
+    ),
+    "decompress --target-n, n_s a list": (
+        ["decompress", "--target-n", "4", "--model"], json.dumps({**_GOOD_MODEL, "fit_meta": {"n_s": [3]}})
+    ),
     "decompress infinite support": (
         _DECOMPRESS_BAD, json.dumps({**_GOOD_MODEL, "support": [0, float("inf")]})
     ),
     "metrics non-numeric cell": (["metrics", "--b", "{path}", "--a"],
                                  "x,density\n0.0,1.0\n0.5,abc\n1.0,1.0\n"),
     "metrics no rows": (["metrics", "--b", "{path}", "--a"], "x,density\n"),
+    "metrics one row": (["metrics", "--b", "{path}", "--a"], "x,density\n0.0,1.0\n"),
     "metrics nan density": (["metrics", "--b", "{path}", "--a"],
                             "x,density\n0.0,1.0\n0.5,nan\n1.0,1.0\n"),
     "metrics inf grid": (["metrics", "--b", "{path}", "--a"],

@@ -98,6 +98,11 @@ def test_wigner_symmetry_pins_root_to_axis():
 def test_negative_time_rejected():
     with pytest.raises(InputError):
         track_support(LawEvaluator(wigner_law(2.0)), -0.5)
+    # so is a NaN or infinite time, not with numpy's LinAlgError
+    for ev in (LawEvaluator(wigner_law(2.0)), ChebyshevPadeEvaluator(_exact_model(wigner_law(2.0), 20))):
+        for t in (np.nan, np.inf):
+            with pytest.raises(InputError, match="finite"):
+                track_support(ev, t)
 
 
 def _roots_at(followed, xp):
@@ -640,6 +645,15 @@ def test_crossing_immediate_for_tiny_height():
     assert report.crossed
     assert report.t_star <= 1e-2
     assert report.inside_support
+
+
+@pytest.mark.parametrize("dt, t_max", [(0.0, 8.0), (-0.05, 8.0), (np.nan, 8.0), (np.inf, 8.0),
+                                        (0.05, np.nan), (0.05, np.inf)])
+def test_crossing_rejects_a_step_that_never_advances(dt, t_max):
+    # dt = 0 would loop forever; a NaN or infinite step or end never arrives
+    ev = LawEvaluator(marchenko_pastur_law(1 / 50))
+    with pytest.raises(InputError, match="dt"):
+        verify_crossing(ev, 1.0 + 0.1j, t_max=t_max, dt=dt)
 
 
 def test_crossing_not_reached():

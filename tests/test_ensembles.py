@@ -98,6 +98,45 @@ def test_wachter_atoms():
     assert locs.get(0.0) == pytest.approx(0.2, abs=1e-6)
 
 
+def _wachter_edges(a, b):
+    s = a + b
+    root = np.sqrt(a * (s - 1.0))
+    return ((np.sqrt(b) - root) / s) ** 2, ((np.sqrt(b) + root) / s) ** 2
+
+
+# each law's textbook edges and atoms, which _make_law derives from (P, Q)
+_CLOSED_FORMS = [
+    (wigner_law(2.0), (-2.0, 2.0), []),
+    *[(marchenko_pastur_law(lam), ((1 - np.sqrt(lam)) ** 2, (1 + np.sqrt(lam)) ** 2),
+       [(0.0, 1 - 1 / lam)] if lam > 1 else []) for lam in (1 / 50, 0.5, 1.0, 2.5)],
+    (kesten_mckay_law(4), (-2.0 * np.sqrt(3.0), 2.0 * np.sqrt(3.0)), []),
+    (wachter_law(2.5, 1.5625), _wachter_edges(2.5, 1.5625), []),
+    (wachter_law(0.8, 1.5), _wachter_edges(0.8, 1.5), [(0.0, 0.2)]),  # d1 < n: mass 1 - a at 0
+    (meixner_law(0.1, 4.0, 0.6), (0.1 - 4.0, 0.1 + 4.0), []),
+    (decompressed_law(wachter_law(2.5, 1.5625), 2.0), None, [(1.0, 7 / 32)]),
+]
+
+
+@pytest.mark.parametrize("law, edges, atoms", _CLOSED_FORMS, ids=[
+    "wigner(2)", "mp(0.02)", "mp(0.5)", "mp(1)", "mp(2.5)", "kesten-mckay(4)", "wachter(2.5,1.5625)",
+    "wachter(0.8,1.5)", "meixner(0.1,4,0.6)", "wachter(2.5,1.5625)-x2"])
+def test_support_and_atoms_match_closed_forms(law, edges, atoms):
+    if edges is not None:
+        assert np.max(np.abs(np.subtract(law.support, edges))) <= 1e-12 * law.width
+    assert len(law.atoms) == len(atoms)
+    for (loc, mass), (want_loc, want_mass) in zip(law.atoms, atoms):
+        assert loc == pytest.approx(want_loc, abs=1e-12)
+        assert mass == pytest.approx(want_mass, abs=1e-14)
+
+
+def test_cdf_jumps_at_atoms():
+    for law, loc, mass in ((marchenko_pastur_law(2.5), 0.0, 0.6),
+                           (decompressed_law(wachter_law(2.5, 1.5625), 2.0), 1.0, 7 / 32)):
+        below, above = law_cdf(law, [loc - 1e-9, loc + 1e-9])
+        assert above - below == pytest.approx(mass, abs=1e-14)
+        assert law_cdf(law, law.support[1] + 1.0) == pytest.approx(1.0, abs=1e-4)
+
+
 # ---------------------------------------------------------------------------
 # Stieltjes transforms
 
@@ -368,7 +407,7 @@ def test_decompressed_wachter_atom():
 def test_decompressed_law_domain():
     # C = 1 - a p1 + a^2 q2 vanishes at the pole ratio d of Kesten-McKay(d)
     assert decompressed_law(kesten_mckay_law(4), 3.9).width > 0
-    for ratio in (4.0, 8.0, 0.5):
+    for ratio in (4.0, 8.0, 0.5, np.nan, np.inf):
         with pytest.raises(InputError):
             decompressed_law(kesten_mckay_law(4), ratio)
 
