@@ -56,10 +56,7 @@ class DecompressionRequest:
     def resolved_ratio(self):
         if self.ratio is None:
             raise InputError("need a decompression ratio")
-        r = float(self.ratio)
-        if not 1 <= r < np.inf:
-            raise InputError(f"decompression ratio must be finite and >= 1, got {r:g}")
-        return r
+        return checked_ratio(self.ratio)
 
 
 @dataclass(frozen=True)
@@ -83,6 +80,14 @@ class DecompressionResult:
         return float(np.trapezoid(np.where(self.failed, 0.0, self.density), self.grid))
 
 
+def checked_ratio(ratio):
+    """``ratio`` as a float; ``InputError`` unless it is finite and >= 1."""
+    r = float(ratio)
+    if not 1 <= r < np.inf:
+        raise InputError(f"decompression ratio must be finite and >= 1, got {r:g}")
+    return r
+
+
 def default_delta(support):
     """The evaluation offset for a source support: 1e-3 of its width, capped
     so wide spectra still satisfy delta in (0, 1)."""
@@ -98,7 +103,8 @@ def auto_grid(support):
     lo, hi = support
     pad = 0.5 * _MARGIN * (hi - lo)
     theta = np.pi * (np.arange(_AUTO_GRID) + 0.5) / _AUTO_GRID
-    return np.sort(0.5 * (lo - pad + hi + pad) + 0.5 * (hi - lo + 2 * pad) * np.cos(theta))
+    # cos is decreasing on (0, pi), so the reversed nodes increase
+    return (0.5 * (lo - pad + hi + pad) + 0.5 * (hi - lo + 2 * pad) * np.cos(theta))[::-1]
 
 
 def decompress_density(request):

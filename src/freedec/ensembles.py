@@ -16,11 +16,12 @@ is the rational function P/(2Q).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
+from .decompress import checked_ratio
 from .errors import InputError, NumericalError
 from .linalg import _haar, make_rng
 
@@ -72,9 +73,29 @@ class EnsembleLaw:
         return law_stieltjes(self, z)
 
 
-def _real_roots(c):
-    roots = npoly.polyroots(npoly.polytrim(c))
-    return np.sort(roots[np.abs(roots.imag) <= 1e-12 * (1.0 + np.abs(roots))].real)
+def _coefficients(p, q):
+    """(p0, p1, q0, q1, q2) as floats, the terms missing from ``p`` and ``q`` zero."""
+    p0, p1 = (*np.asarray(p, dtype=float).tolist(), 0.0, 0.0)[:2]
+    q0, q1, q2 = (*np.asarray(q, dtype=float).tolist(), 0.0, 0.0, 0.0)[:3]
+    return p0, p1, q0, q1, q2
+
+
+def _real_roots(c0, c1, c2):
+    """The real roots of c0 + c1 x + c2 x^2, increasing.
+
+    The quadratic case takes t = -(c1 + sign(c1) sqrt(c1^2 - 4 c0 c2)) / 2
+    and the roots t / c2 and c0 / t, so neither subtracts nearly equal
+    numbers.  A complex pair whose imaginary part is at most
+    1e-12 (1 + |x|) counts as a double real root.
+    """
+    if c2 == 0.0:
+        return [] if c1 == 0.0 else [-c0 / c1]
+    disc = c1 * c1 - 4.0 * c0 * c2
+    if disc < 0.0:
+        re, im = -c1 / (2.0 * c2), math.sqrt(-disc) / (2.0 * abs(c2))
+        return [re, re] if im <= 1e-12 * (1.0 + math.hypot(re, im)) else []
+    t = -0.5 * (c1 + math.copysign(math.sqrt(disc), c1))
+    return [0.0, 0.0] if t == 0.0 else sorted((t / c2, c0 / t))
 
 
 def _make_law(name, params, p, q):
@@ -85,18 +106,21 @@ def _make_law(name, params, p, q):
     m = 2/(P + s) has its pole, P(x0) + s(x0) = 0 (there s^2 = P^2, so
     sign P = -sign s); the mass, the residue of -m, is -P(x0)/Q'(x0).
     """
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    edges = _real_roots(npoly.polysub(npoly.polymul(p, p), 4.0 * q))
-    if edges.size != 2:
+    p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+    p0, p1, q0, q1, q2 = coefficients = _coefficients(p, q)
+    if not all(map(math.isfinite, coefficients)):
+        raise InputError(f"{name!r} needs finite parameters")
+    edges = _real_roots(p0 * p0 - 4.0 * q0, 2.0 * p0 * p1 - 4.0 * q1, p1 * p1 - 4.0 * q2)
+    if len(edges) != 2 or not math.isfinite(edges[1] - edges[0]):
         raise NumericalError(f"{name!r} has no bounded support")
-    lo, hi = float(edges[0]), float(edges[1])
+    lo, hi = edges
     atoms = []
-    for x0 in _real_roots(q):
-        s = -(2.0 + p[1]) * np.sign(x0 - hi) * np.sqrt(max((x0 - lo) * (x0 - hi), 0.0))
-        p0 = npoly.polyval(x0, p)
-        if p0 * s < 0:  # s is 0 inside the support and on its edges: no atom
-            atoms.append((float(x0), float(-p0 / npoly.polyval(x0, npoly.polyder(q)))))
+    for x0 in _real_roots(q0, q1, q2):
+        # s is 0 inside the support and on its edges: no atom
+        s = (2.0 + p1) * math.copysign(math.sqrt(max((x0 - lo) * (x0 - hi), 0.0)), hi - x0)
+        px = p0 + p1 * x0
+        if px * s < 0:
+            atoms.append((x0, -px / (q1 + 2.0 * q2 * x0)))
     return EnsembleLaw(name, params, (lo, hi), p, q, atoms)
 
 
@@ -163,8 +187,9 @@ def law_density(law, x):
     x = np.asarray(x, dtype=float)
     lo, hi = law.support
     inside = (x > lo) & (x < hi)
-    pv = npoly.polyval(x, law.p)
-    qv = npoly.polyval(x, law.q)
+    p0, p1, q0, q1, q2 = _coefficients(law.p, law.q)
+    pv = p0 + p1 * x
+    qv = q0 + x * (q1 + x * q2)
     disc = 4.0 * qv - pv * pv
     out = np.zeros_like(x, dtype=float)
     good = inside & (disc > 0)
@@ -192,22 +217,6 @@ def _sqrt_cut(z, lo, hi):
     return np.sqrt(z - lo) * np.sqrt(z - hi)
 
 
-def _stieltjes_from_pq(p, support, z, branch):
-    z = np.asarray(z, dtype=complex)
-    # Exactly real inputs are upper-half limits; without a nudge a pole on the
-    # axis (an atom) divides by zero.
-    on_axis = z.imag == 0
-    if np.any(on_axis):
-        z = np.where(on_axis, z + 1j * 1e-10 * (1.0 + np.abs(z)), z)
-    s = -(2.0 + (p[1] if len(p) > 1 else 0.0)) * _sqrt_cut(z, *support)
-    if branch == "secondary":
-        s = np.where(z.imag < 0, -s, s)
-    elif branch != "principal":
-        raise InputError(f"unknown branch {branch!r}")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return 2.0 / (npoly.polyval(z, p) + s)
-
-
 def law_stieltjes(law, z, branch="principal"):
     """Stieltjes transform of ``law`` on the requested branch.
 
@@ -217,7 +226,20 @@ def law_stieltjes(law, z, branch="principal"):
     cut into the lower half-plane, at the cost of a jump across the real
     axis outside the support.
     """
-    out = _stieltjes_from_pq(law.p, law.support, z, branch)
+    z = np.asarray(z, dtype=complex)
+    # Exactly real inputs are upper-half limits; without a nudge a pole on the
+    # axis (an atom) divides by zero.
+    on_axis = z.imag == 0
+    if np.any(on_axis):
+        z = np.where(on_axis, z + 1j * 1e-10 * (1.0 + np.abs(z)), z)
+    p0, p1 = _coefficients(law.p, law.q)[:2]
+    s = -(2.0 + p1) * _sqrt_cut(z, *law.support)
+    if branch == "secondary":
+        s = np.where(z.imag < 0, -s, s)
+    elif branch != "principal":
+        raise InputError(f"unknown branch {branch!r}")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = 2.0 / (p0 + p1 * z + s)
     return out if out.ndim else complex(out)
 
 
@@ -227,10 +249,11 @@ def law_hilbert(law, x):
     lo, hi = law.support
     if np.any(x_arr <= lo) or np.any(x_arr >= hi):
         raise InputError("Hilbert transform is the rational form only inside the open support")
-    qv = npoly.polyval(x_arr, law.q)
+    p0, p1, q0, q1, q2 = _coefficients(law.p, law.q)
+    qv = q0 + x_arr * (q1 + x_arr * q2)
     if np.any(np.abs(qv) < _TINY):
         raise InputError("Q(x) vanishes at the requested point")
-    out = npoly.polyval(x_arr, law.p) / (2.0 * qv)
+    out = (p0 + p1 * x_arr) / (2.0 * qv)
     return out if out.ndim else float(out)
 
 
@@ -245,8 +268,7 @@ def law_r_transform(law, z):
     beta's side.
     """
     g = np.asarray(z, dtype=complex)
-    p0, p1 = np.pad(np.asarray(law.p, dtype=float), (0, 2))[:2]
-    q0, q1, q2 = np.pad(np.asarray(law.q, dtype=float), (0, 3))[:3]
+    p0, p1, q0, q1, q2 = _coefficients(law.p, law.q)
     beta = q1 * g + 2.0 * q2 + p1
     gamma = q0 * g + q1 + p0
     root = np.sqrt(beta * beta - 4.0 * q2 * g * gamma)
@@ -288,17 +310,14 @@ def decompressed_law(law, ratio):
     with C = 1 - a p1 + a^2 q2.  C vanishes at the decompression limit
     c / (c - 1) of a free Meixner law with c > 1 and is negative beyond it.
     """
-    r = float(ratio)
-    if not 1 <= r < np.inf:
-        raise InputError(f"decompression ratio must be finite and >= 1, got {r:g}")
-    p = np.pad(np.asarray(law.p, dtype=float), (0, 2))[:2]
-    q = np.pad(np.asarray(law.q, dtype=float), (0, 3))[:3]
+    r = checked_ratio(ratio)
+    p0, p1, q0, q1, q2 = _coefficients(law.p, law.q)
     a = r - 1.0
-    c = 1.0 - a * p[1] + a * a * q[2]
+    c = 1.0 - a * p1 + a * a * q2
     if c <= 0:
         raise InputError(f"ratio {r:g} is outside the decompression domain of {law.name!r}")
-    p_new = r * (p - a * np.array([q[1], 2.0 * q[2]])) / c
-    q_new = r * r * q / c
+    p_new = [r * (p0 - a * q1) / c, r * (p1 - a * (2.0 * q2)) / c]
+    q_new = [r * r * q0 / c, r * r * q1 / c, r * r * q2 / c]
     return _make_law(f"{law.name} x{r:g}", {"source": law, "ratio": r}, p_new, q_new)
 
 

@@ -25,7 +25,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from . import ensembles
-from .decompress import auto_grid, default_delta
+from .decompress import auto_grid, checked_ratio, default_delta
 from .errors import InputError, NumericalError
 
 __all__ = [
@@ -149,13 +149,14 @@ class ChebyshevPadeEvaluator:
         """The decompressed transform of the deepest admissible approximant.
 
         Approximants are tried deepest first (``FollowedRoot.admissible``).
-        Raises ``InputError`` when none passes: the model has no
-        decompression by ``ratio``.  With ``order``, the followed root of
-        [order/order] is returned unchecked, with no ``support``.
+        Raises ``InputError`` for a ratio that is not finite and >= 1, and
+        when none passes: the model has no decompression by ``ratio``.  With
+        ``order``, the followed root of [order/order] is returned unchecked,
+        with no ``support``.
         """
+        r = checked_ratio(ratio)
         if not np.isfinite(self.coeffs).all():
             raise NumericalError("decompression failed: the model has non-finite coefficients")
-        r = float(ratio)
         if order is not None:
             return FollowedRoot(*self._approximants[order], self.support, r, order)
         delta = default_delta(self.support)

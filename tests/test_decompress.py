@@ -383,6 +383,19 @@ def test_support_probe_widens_just_above_ratio_one(monkeypatch):
         assert abs(res.mass() - 1.0) <= 5e-3
 
 
+def test_auto_grid_is_the_sorted_chebyshev_nodes():
+    # on the supports of the law_oracle benchmark's laws and their decompressions
+    cases = [(marchenko_pastur_law(1 / 50), (2, 8, 32)), (wigner_law(2.0), (2, 8, 32)),
+             (meixner_law(0.1, 4.0, 0.6), (2, 8, 32)), (kesten_mckay_law(4), (2,)),
+             (wachter_law(2.5, 1.5625), (2,))]
+    theta = np.pi * (np.arange(dc._AUTO_GRID) + 0.5) / dc._AUTO_GRID
+    for law, ratios in cases:
+        for lo, hi in [law.support] + [decompressed_law(law, r).support for r in ratios]:
+            pad = 0.5 * dc._MARGIN * (hi - lo)
+            nodes = 0.5 * (lo - pad + hi + pad) + 0.5 * (hi - lo + 2 * pad) * np.cos(theta)
+            assert np.array_equal(dc.auto_grid((lo, hi)), np.sort(nodes))
+
+
 def test_explicit_grid_and_validation():
     ev = LawEvaluator(wigner_law(2.0))
     grid = np.linspace(-5.0, 5.0, 101)

@@ -10,6 +10,7 @@ from numpy.polynomial import polynomial as npoly
 from freedec import (
     EnsembleLaw,
     InputError,
+    NumericalError,
     decompressed_law,
     draw_ensemble,
     eigenvalues_symmetric,
@@ -26,7 +27,7 @@ from freedec import (
     wachter_law,
     wigner_law,
 )
-from freedec.ensembles import _wishart
+from freedec.ensembles import _real_roots, _wishart
 
 ALL_LAWS = {
     "wigner": wigner_law(2.0),
@@ -127,6 +128,58 @@ def test_support_and_atoms_match_closed_forms(law, edges, atoms):
     for (loc, mass), (want_loc, want_mass) in zip(law.atoms, atoms):
         assert loc == pytest.approx(want_loc, abs=1e-12)
         assert mass == pytest.approx(want_mass, abs=1e-14)
+
+
+def _reference_real_roots(c):
+    # the root finder _make_law used before: numpy.polynomial plus the 1e-12 rule
+    roots = npoly.polyroots(npoly.polytrim(c))
+    return np.sort(roots[np.abs(roots.imag) <= 1e-12 * (1.0 + np.abs(roots))].real)
+
+
+@pytest.mark.parametrize("c", [
+    (3.0, -2.0, 0.0),  # c2 = 0: linear
+    (3.0, 0.0, 0.0),  # c1 = c2 = 0: constant, no root
+    (0.0, 0.0, 0.0),
+    (0.0, 2.0, -1.0),  # c0 = 0: a root at 0
+    (1.0, -2.0, 1.0),  # double root
+    (0.81e-24, 0.0, 1.0),  # complex pair +-0.9e-12 i: inside the rule, a double root
+    (-4 * 0.81e-24, 0.0, -4.0),
+    (1.21e-24, 0.0, 1.0),  # +-1.1e-12 i: outside the rule, no root
+    (2.0, -5.0, -3.0),
+    (2.0, -1e8, 3.0),  # c1^2 >> 4 c0 c2
+], ids=["linear", "constant", "zero", "root-at-0", "double", "pair-inside", "pair-inside-neg",
+        "pair-outside", "two-roots", "c1-dominant"])
+def test_real_roots_match_numpy_polynomial(c):
+    got, want = _real_roots(*c), _reference_real_roots(c)
+    assert len(got) == len(want)
+    assert np.allclose(got, want, rtol=0.0, atol=1e-14 * (1.0 + np.max(np.abs(want), initial=0.0)))
+
+
+def test_real_roots_keep_the_small_root():
+    # c1^2 >> 4 c0 c2: the roots are 2e-8 and 3.3e7.  The textbook formula
+    # (-c1 - sqrt(disc)) / (2 c2) gives the small one as 1.987e-8 and
+    # numpy.polynomial as 1.86e-8 (both within the reference test's tolerance
+    # at the scale of the large root); Vieta's product and sum hold to rounding.
+    c0, c1, c2 = 2.0, -1e8, 3.0
+    lo, hi = _real_roots(c0, c1, c2)
+    assert lo * hi == pytest.approx(c0 / c2, rel=1e-15, abs=0.0)
+    assert lo + hi == pytest.approx(-c1 / c2, rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: wigner_law(np.nan), lambda: marchenko_pastur_law(np.inf), lambda: kesten_mckay_law(np.inf),
+    lambda: wachter_law(np.inf, 1.0), lambda: meixner_law(np.nan, 1.0, 0.5),
+    lambda: decompressed_law(wigner_law(2.0), 1e200),  # r^2 Q overflows
+])
+def test_non_finite_parameters_are_bad_input(make):
+    with pytest.raises(InputError, match="needs finite parameters"):
+        make()
+
+
+def test_overflowing_support_raises():
+    # Q = 2.5e307 is finite, but P^2 - 4Q's discriminant overflows
+    with pytest.raises(NumericalError, match="no bounded support"):
+        wigner_law(1e154)
 
 
 def test_cdf_jumps_at_atoms():
@@ -402,6 +455,62 @@ def test_decompressed_wachter_atom():
     assert law.support[1] < 1.0
     cont, _ = scipy.integrate.quad(lambda x: law_density(law, x), *law.support, limit=400)
     assert cont == pytest.approx(0.78125, abs=1e-8)
+
+
+# 23 source laws for the closed-form sweep, some with atoms, some whose
+# decompression domain ends inside the ratios below
+_SWEEP_LAWS = [
+    *[wigner_law(r) for r in (0.5, 2.0, 7.0)],
+    *[marchenko_pastur_law(lam) for lam in (1 / 50, 0.1, 0.5, 0.9, 1.0, 2.0, 2.5)],
+    *[kesten_mckay_law(d) for d in (2, 3, 4, 10)],
+    *[wachter_law(a, b) for a, b in ((2.5, 1.5625), (0.8, 1.5), (3.0, 3.0), (0.5, 0.7))],
+    *[meixner_law(a, b, c) for a, b, c in ((0.1, 4.0, 0.6), (2.0, 0.5, 0.2), (0.0, 1.0, 1.0),
+                                           (-1.0, 2.0, 0.9), (0.5, 1.0, 0.05))],
+]
+
+
+def _reference_decompression(law, ratio):
+    # (P', Q') of decompressed_law through numpy arrays, None outside the domain
+    p, q = _pq(law)
+    a = ratio - 1.0
+    c = 1.0 - a * p[1] + a * a * q[2]
+    if c <= 0:
+        return None
+    return ratio * (p - a * np.array([q[1], 2.0 * q[2]])) / c, ratio * ratio * q / c
+
+
+def _reference_support_and_atoms(p, q):
+    # _make_law's support and atoms through numpy.polynomial
+    lo, hi = _reference_real_roots(npoly.polysub(npoly.polymul(p, p), 4.0 * q))
+    atoms = []
+    for x0 in _reference_real_roots(q):
+        s = -(2.0 + p[1]) * np.sign(x0 - hi) * np.sqrt(max((x0 - lo) * (x0 - hi), 0.0))
+        px = npoly.polyval(x0, p)
+        if px * s < 0:
+            atoms.append((x0, -px / npoly.polyval(x0, npoly.polyder(q))))
+    return (lo, hi), atoms
+
+
+@pytest.mark.parametrize("law", _SWEEP_LAWS, ids=[f"{law.name}{tuple(law.params.values())}"
+                                                  for law in _SWEEP_LAWS])
+def test_decompressed_laws_match_numpy_polynomial(law):
+    # measured: edges within 7.9e-16 of the width, atoms within 1.8e-15 in
+    # location and 5.6e-16 in mass
+    for ratio in (1.0, 1.001, 1.5, 2.0, 4.0, 8.0, 16.0, 32.0):
+        ref = _reference_decompression(law, ratio)
+        if ref is None:
+            with pytest.raises(InputError):
+                decompressed_law(law, ratio)
+            continue
+        got = decompressed_law(law, ratio)
+        assert (got.p.size, got.q.size) == (2, 3)
+        assert np.array_equal(got.p, ref[0]) and np.array_equal(got.q, ref[1])
+        support, atoms = _reference_support_and_atoms(*ref)
+        assert np.max(np.abs(np.subtract(got.support, support))) <= 1e-14 * got.width
+        assert len(got.atoms) == len(atoms)
+        for (loc, mass), (want_loc, want_mass) in zip(got.atoms, atoms):
+            assert loc == pytest.approx(want_loc, abs=1e-14 * max(1.0, abs(want_loc)))
+            assert mass == pytest.approx(want_mass, abs=1e-14)
 
 
 def test_decompressed_law_domain():

@@ -6,9 +6,11 @@ import scipy.integrate
 from numpy.polynomial import polynomial as npoly
 from scipy.special import eval_chebyu
 
+import freedec.stieltjes as stieltjes
 from freedec import (
     ChebyshevPadeEvaluator,
     DensityModel,
+    InputError,
     LawEvaluator,
     chebyshev_coefficients_from_grid,
     evaluator_for_model,
@@ -18,6 +20,7 @@ from freedec import (
     law_stieltjes,
     make_rng,
     marchenko_pastur_law,
+    wigner_law,
 )
 
 
@@ -228,6 +231,23 @@ def test_pade_drops_zero_tail():
     # an all-zero model keeps one coefficient
     zero = DensityModel(support=(0.0, 1.0), basis="chebyshev-u", psi=np.zeros(5))
     assert ChebyshevPadeEvaluator(zero).coeffs.size == 1
+
+
+@pytest.mark.parametrize("order", [None, 0])
+@pytest.mark.parametrize("ratio", [np.nan, np.inf, 0.5, -1.0])
+def test_pade_decompressed_rejects_bad_ratio_before_following(monkeypatch, ratio, order):
+    law = wigner_law(2.0)
+    xs = np.linspace(-2.0, 2.0, 2001)
+    psi = chebyshev_coefficients_from_grid(xs, law_density(law, xs), law.support, 2)
+    ev = ChebyshevPadeEvaluator(DensityModel(support=law.support, basis="chebyshev-u", psi=psi))
+    assert ev.coeffs.size == 3
+
+    def no_follow(*args):
+        raise AssertionError("an approximant was followed")
+
+    monkeypatch.setattr(stieltjes, "FollowedRoot", no_follow)
+    with pytest.raises(InputError, match="finite and >= 1"):
+        ev.decompressed(ratio, order=order)
 
 
 # ---------------------------------------------------------------------------
