@@ -148,7 +148,10 @@ def _cmd_decompress(args):
     request = dc.DecompressionRequest(evaluator=evaluator, ratio=ratio, grid=_parse_grid(args.grid))
     result = dc.decompress_density(request)
     good = ~result.failed
-    fio.save_density_csv(args.output, result.grid[good], np.maximum(result.density[good], 0.0))
+    try:
+        fio.save_density_csv(args.output, result.grid[good], np.maximum(result.density[good], 0.0))
+    except InputError as exc:  # the points left are no density on a grid (a one-point --grid)
+        raise InputError(f"model {args.model} on --grid {args.grid}: {exc}") from exc
     followed = result.decompressed  # None at ratio 1
     diag = {
         "ratio": result.ratio,

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .density_fit import chebyshev_nodes
 from .errors import InputError, NumericalError
 
 __all__ = [
@@ -100,11 +101,7 @@ def auto_grid(support):
     Chebyshev-distributed points over it widened by ``_MARGIN`` of its
     width, increasing.  A fitted model's approximant choice measures its
     mass on the same grid."""
-    lo, hi = support
-    pad = 0.5 * _MARGIN * (hi - lo)
-    theta = np.pi * (np.arange(_AUTO_GRID) + 0.5) / _AUTO_GRID
-    # cos is decreasing on (0, pi), so the reversed nodes increase
-    return (0.5 * (lo - pad + hi + pad) + 0.5 * (hi - lo + 2 * pad) * np.cos(theta))[::-1]
+    return chebyshev_nodes(support, _AUTO_GRID, _MARGIN)
 
 
 def decompress_density(request):

@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import InputError
 from .linalg import SpectrumSample
+from .metrics import checked_density
 
 __all__ = [
     "DensityModel",
@@ -51,6 +52,16 @@ class SupportEstimate(NamedTuple):
 def _affine_to_unit(x, support):
     lo, hi = support
     return (2.0 * np.asarray(x) - (hi + lo)) / (hi - lo)
+
+
+def chebyshev_nodes(support, count, margin=0.0):
+    """``count`` Chebyshev nodes, increasing, on ``support`` widened by
+    ``margin`` of its width (half on each side)."""
+    lo, hi = support
+    pad = 0.5 * margin * (hi - lo)
+    theta = np.pi * (np.arange(count) + 0.5) / count
+    # cos is decreasing on (0, pi), so the reversed nodes increase
+    return (0.5 * (lo - pad + hi + pad) + 0.5 * (hi - lo + 2 * pad) * np.cos(theta))[::-1]
 
 
 def _chebyshev_u_matrix(t, k_max):
@@ -98,15 +109,9 @@ class DensityModel:
         return self.psi
 
     def density(self, x):
-        """Model density at ``x`` (vectorized); zero outside the support."""
-        x = np.asarray(x, dtype=float)
-        t = _affine_to_unit(x, self.support)
-        inside = np.abs(t) < 1.0
-        tc = np.where(inside, t, 0.0)
-        basis_vals = _chebyshev_u_matrix(tc, self.order)
-        series = np.tensordot(self.psi, basis_vals, axes=(0, 0))
-        vals = np.sqrt(np.maximum(1.0 - tc * tc, 0.0)) * series
-        vals = np.where(inside, vals, 0.0)
+        """Model density at a point or a 1-d array ``x``; zero outside the
+        support.  The same arithmetic :func:`repair_positivity_mass` checks."""
+        vals = self.psi @ _basis_matrix(self.support, x, self.order)
         return vals if vals.ndim else float(vals)
 
     def mass(self):
@@ -143,21 +148,11 @@ def chebyshev_coefficients_from_grid(x, rho, support, k_max):
     """
     if k_max < 0:
         raise InputError("polynomial order must be >= 0")
-    x = np.asarray(x, dtype=float)
-    rho = np.asarray(rho, dtype=float)
-    if not np.all(np.isfinite(rho)):
-        raise InputError("density samples contain non-finite values")
+    x, rho = checked_density(x, rho)
     theta = np.pi * (np.arange(_PROJECTION_GRID) + 0.5) / _PROJECTION_GRID
     rho_theta = np.interp(np.cos(theta), _affine_to_unit(x, support), rho)
     sines = np.sin(np.outer(np.arange(1, k_max + 2), theta))
     return 2.0 / _PROJECTION_GRID * (sines @ rho_theta)
-
-
-def _constraint_grid(model):
-    # Chebyshev-distributed points cluster where edge behavior matters.
-    lo, hi = model.support
-    theta = np.pi * (np.arange(_REPAIR_GRID) + 0.5) / _REPAIR_GRID
-    return 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.cos(theta)[::-1]
 
 
 def repair_positivity_mass(model):
@@ -175,7 +170,7 @@ def repair_positivity_mass(model):
     """
     nonzero = np.flatnonzero(model.psi)
     kept = nonzero[-1] + 1 if nonzero.size else 1
-    grid = _constraint_grid(model)
+    grid = chebyshev_nodes(model.support, _REPAIR_GRID)  # dense where edge behaviour matters
     basis = _basis_matrix(model.support, grid, kept - 1)
     mass_vec = np.zeros(kept)
     mass_vec[0] = np.pi * model.width / 4.0

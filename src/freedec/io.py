@@ -16,6 +16,7 @@ import numpy as np
 
 from .density_fit import DensityModel
 from .errors import InputError
+from .metrics import checked_density
 
 __all__ = [
     "model_to_dict",
@@ -119,15 +120,16 @@ def load_model(path):
         raise InputError(f"cannot read model {path}: {exc}") from exc
 
 
-def save_density_csv(path, x, density):
-    x = np.asarray(x, dtype=float)
-    density = np.asarray(density, dtype=float)
-    if not (np.isfinite(x).all() and np.isfinite(density).all()):
-        raise InputError("density grid and values must be finite")
-    if np.any(np.diff(x) <= 0):
-        raise InputError("density grid must be strictly increasing")
+def _checked_nonnegative(x, density):
+    # metrics' rule for a density on a grid, and a density file's own: no negative value
+    x, density = checked_density(x, density)
     if np.any(density < 0):
         raise InputError("density values must be nonnegative")
+    return x, density
+
+
+def save_density_csv(path, x, density):
+    x, density = _checked_nonnegative(x, density)
     lines = ["x,density"]
     lines += [f"{xv:.17g},{dv:.17g}" for xv, dv in zip(x, density)]
     atomic_write(path, "\n".join(lines) + "\n")
@@ -144,12 +146,7 @@ def load_density_csv(path):
                 x, density = np.loadtxt(handle, delimiter=",", ndmin=2, usecols=(0, 1), unpack=True)
     except (OSError, ValueError) as exc:
         raise InputError(f"cannot read density CSV {path}: {exc}") from exc
-    if x.size < 2:
-        raise InputError(f"density CSV {path} has {x.size} rows; a density needs at least two")
-    if not (np.isfinite(x).all() and np.isfinite(density).all()):
-        raise InputError(f"density CSV {path} has a non-finite x or density")
-    if np.any(np.diff(x) <= 0):
-        raise InputError(f"density CSV {path} grid must be strictly increasing")
-    if np.any(density < 0):
-        raise InputError(f"density CSV {path} values must be nonnegative")
-    return x, density
+    try:
+        return _checked_nonnegative(x, density)
+    except InputError as exc:
+        raise InputError(f"density CSV {path}: {exc}") from exc

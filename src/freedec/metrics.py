@@ -1,11 +1,13 @@
 """Distances, summaries, and sampling for spectral densities.
 
-All comparison routines take two density sample arrays on one shared grid,
-renormalize them to unit mass there, and return scalar summaries (total
-variation, Jensen-Shannon, moments, log-determinant).  A histogram-based
-empirical variant of the distances is provided for sample sets, and
-quasi-Monte-Carlo sampling inverts the numerical distribution function over
-a van der Corput sequence.
+A density on a grid, ``(x, rho)``, is held to one rule everywhere
+(:func:`checked_density`): ``x`` is a 1-d, finite, strictly increasing array
+of at least two points, and each density is finite with the grid's shape.
+The comparison routines renormalize two densities on one shared grid to unit
+mass there and return scalar summaries (total variation, Jensen-Shannon,
+moments, log-determinant); a histogram-based variant of the distances serves
+sample sets, and quasi-Monte-Carlo sampling inverts the numerical
+distribution function over a van der Corput sequence.
 """
 
 from __future__ import annotations
@@ -35,15 +37,21 @@ _SHARED_GRID = 4096
 _HIST_BINS = 64  # histogram cells of the sample-based distances
 
 
-def _check_pair(x, rho_a, rho_b):
+def checked_density(x, *densities):
+    """``x`` and each density as float arrays; ``InputError`` unless they
+    keep the module's rule for a density on a grid."""
     x = np.asarray(x, dtype=float)
-    a = np.asarray(rho_a, dtype=float)
-    b = np.asarray(rho_b, dtype=float)
-    if x.shape != a.shape or x.shape != b.shape:
-        raise InputError("densities must be sampled on one common grid")
-    if x.ndim != 1 or x.size < 2 or np.any(np.diff(x) <= 0):
-        raise InputError("grid must be strictly increasing")
-    return x, a, b
+    densities = [np.asarray(rho, dtype=float) for rho in densities]
+    if x.ndim != 1 or x.size < 2:
+        raise InputError(f"a density grid needs two or more points in one dimension, got shape {x.shape}")
+    if not np.isfinite(x).all() or np.any(np.diff(x) <= 0):
+        raise InputError("a density grid must be finite and strictly increasing")
+    for rho in densities:
+        if rho.shape != x.shape:
+            raise InputError(f"a density must have its grid's shape {x.shape}, got {rho.shape}")
+        if not np.isfinite(rho).all():
+            raise InputError("density values must be finite")
+    return (x, *densities)
 
 
 def _normalize(x, rho):
@@ -67,7 +75,7 @@ def shared_grid(support_a, support_b):
 
 def total_variation(x, rho_a, rho_b):
     """(1/2) integral |rho_a - rho_b| after unit-mass renormalization."""
-    x, a, b = _check_pair(x, rho_a, rho_b)
+    x, a, b = checked_density(x, rho_a, rho_b)
     a, b = _normalize(x, a), _normalize(x, b)
     return float(0.5 * np.trapezoid(np.abs(a - b), x))
 
@@ -83,7 +91,7 @@ def jensen_shannon(x, rho_a, rho_b):
 
     Cells where a density vanishes follow the 0 log 0 = 0 convention.
     """
-    x, a, b = _check_pair(x, rho_a, rho_b)
+    x, a, b = checked_density(x, rho_a, rho_b)
     a, b = _normalize(x, a), _normalize(x, b)
     mid = 0.5 * (a + b)
     return float(0.5 * np.trapezoid(_kl_terms(a, mid), x) + 0.5 * np.trapezoid(_kl_terms(b, mid), x))
@@ -113,8 +121,7 @@ def jensen_shannon_samples(samples_a, samples_b):
 
 def moments(x, rho, k_max=4):
     """Raw moments integral x^k rho(x) dx for k = 0..k_max (trapezoid)."""
-    x = np.asarray(x, dtype=float)
-    rho = np.asarray(rho, dtype=float)
+    x, rho = checked_density(x, rho)
     return np.array([np.trapezoid(x**k * rho, x) for k in range(k_max + 1)])
 
 
@@ -125,8 +132,7 @@ def log_determinant(x, rho, order):
     before calling.  The integrand is refined on a log-spaced grid near the
     lower edge, where log(x) varies fastest.
     """
-    x = np.asarray(x, dtype=float)
-    rho = np.asarray(rho, dtype=float)
+    x, rho = checked_density(x, rho)
     if order < 1:
         raise InputError("matrix order must be >= 1")
     mask = rho > 0
@@ -165,8 +171,8 @@ def qmc_sample(x, rho, count, seed=0):
     rotation for repeatable jitter.  A numerically non-monotone distribution
     function is re-monotonized by a running maximum.
     """
-    x = np.asarray(x, dtype=float)
-    rho = np.maximum(np.asarray(rho, dtype=float), 0.0)
+    x, rho = checked_density(x, rho)
+    rho = np.maximum(rho, 0.0)
     cdf = np.concatenate([[0.0], np.cumsum(0.5 * (rho[1:] + rho[:-1]) * np.diff(x))])
     if cdf[-1] <= 0:
         raise InputError("density has no mass on the grid")
@@ -217,7 +223,7 @@ class DensityComparison:
 
 def compare_densities(x, rho_a, rho_b, order=None):
     """Full comparison: TV, JS, first/second moment errors, log-dets."""
-    x, a, b = _check_pair(x, rho_a, rho_b)
+    x, a, b = checked_density(x, rho_a, rho_b)
     an, bn = _normalize(x, a), _normalize(x, b)
     ma, mb = moments(x, an, 2), moments(x, bn, 2)
     rel = tuple(

@@ -348,6 +348,10 @@ _BAD_INPUTS = {
     "decompress infinite support": (
         _DECOMPRESS_BAD, json.dumps({**_GOOD_MODEL, "support": [0, float("inf")]})
     ),
+    "decompress one-point grid": (
+        ["decompress", "--ratio", "2", "--grid", "0.5:1:1", "--model"],
+        json.dumps({**_GOOD_MODEL, "coefficients": [4 / np.pi, 0.1]}),  # one that decompresses
+    ),
     "metrics non-numeric cell": (["metrics", "--b", "{path}", "--a"],
                                  "x,density\n0.0,1.0\n0.5,abc\n1.0,1.0\n"),
     "metrics no rows": (["metrics", "--b", "{path}", "--a"], "x,density\n"),
@@ -378,7 +382,7 @@ def test_bad_input_file_exits_2(case, tmp_path, capsys):
     assert not caught  # the error line is the only report
     err = capsys.readouterr().err
     assert err.startswith("freedec: ") and str(path) in err
-    assert not out.exists()
+    assert {p.name for p in tmp_path.iterdir()} <= {"input"}  # no output, no .diag.json
 
 
 def test_metrics_command(tmp_path, capsys):

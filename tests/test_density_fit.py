@@ -186,3 +186,30 @@ def test_fit_density_invariants():
     assert model.mass() == pytest.approx(1.0, abs=1e-6)
     assert model.density(grid).min() >= -1e-9
     assert model.density(np.array([model.support[0] - 1.0])) == 0.0
+
+
+def test_model_density_is_its_sine_series():
+    # sqrt(1 - t^2) U_k(t) = sin((k + 1) theta) at t = cos(theta): a reference
+    # free of the U recurrence, to a tolerance of a few ulps of sum |psi_k|
+    psi = make_rng(7).normal(size=12)
+    lo, hi = 0.3, 2.1
+    model = DensityModel(support=(lo, hi), basis="chebyshev-u", psi=psi)
+    x = np.linspace(lo - 0.5, hi + 0.5, 4001)
+    theta = np.arccos(np.clip((2 * x - (hi + lo)) / (hi - lo), -1.0, 1.0))
+    want = np.sin(np.outer(np.arange(1, psi.size + 1), theta)).T @ psi
+    assert np.max(np.abs(model.density(x) - want)) <= 1e-13 * np.abs(psi).sum()
+    assert np.all(model.density(x[(x <= lo) | (x >= hi)]) == 0.0)
+    scalar = model.density(1.0)
+    assert isinstance(scalar, float)
+    assert scalar == pytest.approx(model.density(np.array([1.0]))[0], rel=1e-14)
+
+
+def test_repair_grid_is_the_plain_chebyshev_nodes():
+    # with no margin the shared node function is, bit for bit, the nodes mapped
+    # onto the support, as the repair placed its constraint points before
+    from freedec.density_fit import _REPAIR_GRID, chebyshev_nodes
+
+    theta = np.pi * (np.arange(_REPAIR_GRID) + 0.5) / _REPAIR_GRID
+    for lo, hi in [(0.3, 2.1), (-1.0, 1.0), (0.449455, 1.7347), (-15.9842, 15.4956), (1e-4, 1e4)]:
+        want = 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.cos(theta)[::-1]
+        assert np.array_equal(chebyshev_nodes((lo, hi), _REPAIR_GRID), want)

@@ -1,8 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from freedec import (
     InputError,
+    chebyshev_coefficients_from_grid,
     compare_densities,
     jensen_shannon,
     jensen_shannon_samples,
@@ -17,6 +20,7 @@ from freedec import (
     van_der_corput,
     wigner_law,
 )
+from freedec.io import load_density_csv, save_density_csv
 
 
 def _grid_and(law, n=4096):
@@ -199,3 +203,55 @@ def test_compare_densities_report():
     table = comparison.to_table()
     assert "TV" in table and "mu2" in table
     assert '"tv": 0.0' in comparison.to_json()
+
+
+# ---------------------------------------------------------------------------
+# one rule for a density on a grid
+
+
+def _load_written(x, rho, tmp_path):
+    # the rows of a hand-written density file; a missing cell stays empty
+    path = tmp_path / "in.csv"
+    rows = itertools.zip_longest(x, rho, fillvalue="")
+    path.write_text("x,density\n" + "".join(f"{a},{b}\n" for a, b in rows))
+    return load_density_csv(path)
+
+
+# every function that takes a density on a grid, called as (x, rho, tmp_path);
+# the second density of a comparison is a good one on the same grid
+_GRID_READERS = {
+    "total_variation": lambda x, rho, _: total_variation(x, rho, np.ones(np.shape(x))),
+    "jensen_shannon": lambda x, rho, _: jensen_shannon(x, rho, np.ones(np.shape(x))),
+    "compare_densities": lambda x, rho, _: compare_densities(x, rho, np.ones(np.shape(x)), order=10),
+    "moments": lambda x, rho, _: moments(x, rho),
+    "log_determinant": lambda x, rho, _: log_determinant(x, rho, 10),
+    "qmc_sample": lambda x, rho, _: qmc_sample(x, rho, 4),
+    "chebyshev_coefficients_from_grid":
+        lambda x, rho, _: chebyshev_coefficients_from_grid(x, rho, (1.0, 2.0), 3),
+    "save_density_csv": lambda x, rho, tmp_path: save_density_csv(tmp_path / "out.csv", x, rho),
+    "load_density_csv": _load_written,
+}
+
+_X = np.linspace(1.0, 2.0, 5)  # above 0, so the log-determinant has a value
+_RHO = np.ones(5)
+_BAD_DENSITIES = {
+    "nan value": (_X, np.where(np.arange(5) == 2, np.nan, 1.0)),  # unchecked: JS 0.0, TV nan
+    "inf grid point": (np.append(_X[:-1], np.inf), _RHO),
+    "decreasing grid": (_X[::-1], _RHO),  # unchecked: mass -1, zero coefficients
+    "single point": (_X[:1], _RHO[:1]),  # unchecked: saved, then refused by the loader
+    "length mismatch": (_X, _RHO[:-1]),  # unchecked: saved without the last grid point
+}
+
+
+@pytest.mark.parametrize("reader", sorted(_GRID_READERS))
+def test_grid_readers_take_a_good_density(reader, tmp_path):
+    _GRID_READERS[reader](_X, _RHO, tmp_path)
+
+
+@pytest.mark.parametrize("bad", sorted(_BAD_DENSITIES))
+@pytest.mark.parametrize("reader", sorted(_GRID_READERS))
+def test_grid_readers_reject_a_bad_density(reader, bad, tmp_path):
+    x, rho = _BAD_DENSITIES[bad]
+    with pytest.raises(InputError):
+        _GRID_READERS[reader](x, rho, tmp_path)
+    assert not (tmp_path / "out.csv").exists()
