@@ -86,16 +86,7 @@ def _cmd_sample(args):
         grid = np.linspace(law.support[0], law.support[1], 8192)
         eigs = mt.qmc_sample(grid, ens.law_density(law, grid), args.n, seed=args.seed)
     else:
-        kwargs = {}
-        if name in ("mp", "kesten-mckay"):
-            if args.d is None:
-                raise InputError(f"'{name}' requires --d")
-            kwargs["d"] = args.d
-        if name == "wachter":
-            if args.d1 is None or args.d2 is None:
-                raise InputError("'wachter' requires --d1 and --d2")
-            kwargs["d1"], kwargs["d2"] = args.d1, args.d2
-        draw = ens.draw_ensemble(name, args.n, args.seed, **kwargs)
+        draw = ens.draw_ensemble(name, args.n, args.seed, d=args.d, d1=args.d1, d2=args.d2)
         eigs = la.eigenvalues_symmetric(draw.matrix).eigenvalues
     fio.atomic_write(args.output, "\n".join(f"{v:.17g}" for v in eigs) + "\n")
     return 0
@@ -136,6 +127,7 @@ def _parse_grid(spec):
 
 
 def _cmd_decompress(args):
+    grid = _parse_grid(args.grid)
     model = fio.load_model(args.model)
     evaluator = st.evaluator_for_model(model)
     ratio = args.ratio
@@ -145,13 +137,13 @@ def _cmd_decompress(args):
             raise InputError(f"--target-n needs a positive fit_meta.n_s in model {args.model}, "
                              f"got {n_s!r}; use --ratio")
         ratio = args.target_n / n_s
-    request = dc.DecompressionRequest(evaluator=evaluator, ratio=ratio, grid=_parse_grid(args.grid))
-    result = dc.decompress_density(request)
-    good = ~result.failed
-    try:
+    request = dc.DecompressionRequest(evaluator=evaluator, ratio=ratio, grid=grid)
+    try:  # the ratio, the model's mass, the grid, the points left on a one-point --grid
+        result = dc.decompress_density(request)
+        good = ~result.failed
         fio.save_density_csv(args.output, result.grid[good], np.maximum(result.density[good], 0.0))
-    except InputError as exc:  # the points left are no density on a grid (a one-point --grid)
-        raise InputError(f"model {args.model} on --grid {args.grid}: {exc}") from exc
+    except InputError as exc:
+        raise InputError(f"decompressing model {args.model}: {exc}") from exc
     followed = result.decompressed  # None at ratio 1
     diag = {
         "ratio": result.ratio,

@@ -7,7 +7,7 @@ compact interval as a Chebyshev-U expansion
 
 where ``M`` maps the support onto [-1, 1].  The coefficients come from the
 direct moment estimator on the eigenvalues; the noise-dominated tail is
-zeroed and the kept coefficients are repaired to a nonnegative density of
+cut and the kept coefficients are repaired to a nonnegative density of
 unit mass.
 """
 
@@ -64,6 +64,11 @@ def chebyshev_nodes(support, count, margin=0.0):
     return (0.5 * (lo - pad + hi + pad) + 0.5 * (hi - lo + 2 * pad) * np.cos(theta))[::-1]
 
 
+def trimmed(p):
+    """The 1-d array p without its trailing zeros; an all-zero p keeps one."""
+    return np.trim_zeros(p, "b") if p.any() else p[:1]
+
+
 def _chebyshev_u_matrix(t, k_max):
     """Rows U_0(t) .. U_kmax(t) via the three-term recurrence."""
     t = np.asarray(t)
@@ -78,7 +83,11 @@ def _chebyshev_u_matrix(t, k_max):
 
 @dataclass(frozen=True)
 class DensityModel:
-    """Smoothed spectral density on a compact support interval."""
+    """Smoothed spectral density on a compact support interval.
+
+    ``psi`` holds the coefficients up to the last nonzero one: trailing
+    zeros are dropped on construction, and an all-zero vector keeps one.
+    """
 
     support: tuple[float, float]
     basis: str  # always 'chebyshev-u', the one basis with an evaluator
@@ -94,7 +103,10 @@ class DensityModel:
             raise InputError("support must be finite with lo < hi")
         if self.basis != "chebyshev-u":
             raise InputError(f"unknown basis {self.basis!r}; only 'chebyshev-u' is supported")
-        object.__setattr__(self, "psi", np.asarray(self.psi, dtype=float))
+        psi = np.asarray(self.psi, dtype=float)
+        if psi.ndim != 1 or psi.size == 0:
+            raise InputError("model coefficients must be a non-empty list of numbers")
+        object.__setattr__(self, "psi", trimmed(psi))
 
     @property
     def order(self):
@@ -163,33 +175,30 @@ def repair_positivity_mass(model):
     descent runs from the current coefficients and returns its first
     feasible iterate; if it reaches none, the result is blended toward the
     single-mode (pure weight function) model, which is strictly positive,
-    and flagged.
+    with the largest weight on the model that keeps the density nonnegative
+    at the constraint points, and flagged.
 
-    Only the coefficients up to the last nonzero one move, so a tail zeroed
-    by :func:`truncate_tail` stays zero.
+    Only the model's own coefficients move, so a tail cut by
+    :func:`truncate_tail` is not refilled.
     """
-    nonzero = np.flatnonzero(model.psi)
-    kept = nonzero[-1] + 1 if nonzero.size else 1
     grid = chebyshev_nodes(model.support, _REPAIR_GRID)  # dense where edge behaviour matters
-    basis = _basis_matrix(model.support, grid, kept - 1)
-    mass_vec = np.zeros(kept)
+    basis = _basis_matrix(model.support, grid, model.order)
+    mass_vec = np.zeros(model.psi.size)
     mass_vec[0] = np.pi * model.width / 4.0
 
     def density_of(psi):
         return psi @ basis
 
-    def with_kept(psi, **flags):
-        full = np.zeros_like(model.psi)
-        full[:kept] = psi
-        return replace(model, psi=full, repaired=True, **flags)
+    def repaired(psi, **flags):
+        return replace(model, psi=psi, repaired=True, **flags)
 
-    psi0 = model.psi[:kept].copy()
+    psi0 = model.psi
     rho0 = density_of(psi0)
     mass0 = float(mass_vec @ psi0)
     if rho0.min() >= -_REPAIR_TOL_NEG and abs(mass0 - 1.0) <= _REPAIR_TOL_MASS:
         return model
     if mass0 > 0 and rho0.min() >= -_REPAIR_TOL_NEG * mass0:
-        return with_kept(psi0 / mass0)
+        return repaired(psi0 / mass0)
 
     scale = max(np.linalg.norm(psi0), 1e-30)
     psi = psi0.copy()
@@ -205,23 +214,17 @@ def repair_positivity_mass(model):
         if m > 0.1:
             psi = psi / m
             if density_of(psi).min() >= -_REPAIR_TOL_NEG:
-                return with_kept(psi / float(mass_vec @ psi), repair_warning=False)
+                return repaired(psi / float(mass_vec @ psi), repair_warning=False)
 
-    # Blend toward the strictly positive single-mode model until feasible.
+    # Blend toward the strictly positive single-mode model: theta psi0 +
+    # (1 - theta) floor is nonnegative at a node where rho0 < 0 up to
+    # theta = f / (f - rho0), f the floor's density there.
     floor = np.zeros_like(psi0)
     floor[0] = 1.0 / mass_vec[0]
-    lo_t, hi_t = 0.0, 1.0
-    for _ in range(60):
-        theta = 0.5 * (lo_t + hi_t)
-        cand = theta * psi0 + (1.0 - theta) * floor
-        m = float(mass_vec @ cand)
-        if m > 0 and density_of(cand / m).min() >= -0.5 * _REPAIR_TOL_NEG:
-            lo_t = theta
-        else:
-            hi_t = theta
-    cand = lo_t * psi0 + (1.0 - lo_t) * floor
-    cand = cand / float(mass_vec @ cand)
-    return with_kept(cand / float(mass_vec @ cand), repair_warning=True)
+    f, neg = density_of(floor), rho0 < 0
+    theta = np.min(f[neg] / (f[neg] - rho0[neg])) if neg.any() else 0.0
+    cand = theta * psi0 + (1.0 - theta) * floor
+    return repaired(cand / float(mass_vec @ cand), repair_warning=True)
 
 
 def _basis_matrix(support, x, order):
@@ -252,21 +255,19 @@ def estimate_support_edges(sample):
 
 
 def truncate_tail(psi):
-    """Zero the noise-dominated coefficient tail.
+    """The coefficients before the noise-dominated tail.
 
     The cutoff is the last coefficient above 2.5 times a robust noise floor
     estimated from the upper half of the sequence, clamped to [4, 6] and to
     the series' own order.  Estimated tails otherwise feed the Pade
     continuation pure noise, which it amplifies into spurious pole structure.
     """
-    psi = np.asarray(psi, dtype=float).copy()
+    psi = np.asarray(psi, dtype=float)
     half = psi[psi.size // 2 :]
     floor = 1.4826 * np.median(np.abs(half)) if half.size else 0.0
     above = np.where(np.abs(psi) > 2.5 * floor)[0]
     k_eff = int(np.clip(above.max() if above.size else _K_MIN, _K_MIN, _K_CAP))
-    k_eff = min(k_eff, psi.size - 1)
-    psi[k_eff + 1 :] = 0.0
-    return psi, k_eff
+    return psi[: k_eff + 1]
 
 
 def fit_density(sample, k_max=50):
@@ -276,19 +277,19 @@ def fit_density(sample, k_max=50):
     (:func:`estimate_support_edges`).  The Chebyshev-U coefficients come
     from the direct moment estimator on the eigenvalues
     (:func:`chebyshev_coefficients`); their noise-dominated high orders,
-    which analytic continuation would amplify, are zeroed
+    which analytic continuation would amplify, are cut
     (:func:`truncate_tail`), and the kept ones are made a nonnegative
     density of unit mass (:func:`repair_positivity_mass`).
     """
     if not isinstance(sample, SpectrumSample):
         raise InputError("fit_density expects a SpectrumSample")
     lo, hi, degenerate = estimate_support_edges(sample)
-    psi, k_eff = truncate_tail(chebyshev_coefficients(sample, (lo, hi), k_max))
+    psi = truncate_tail(chebyshev_coefficients(sample, (lo, hi), k_max))
     model = DensityModel(
         support=(lo, hi),
         basis="chebyshev-u",
         psi=psi,
         degenerate_support=degenerate,
-        meta={"n_s": sample.source_order, "k_max": k_max, "k_eff": k_eff},
+        meta={"n_s": sample.source_order, "k_max": k_max, "k_eff": psi.size - 1},
     )
     return repair_positivity_mass(model)

@@ -89,8 +89,6 @@ def model_from_dict(doc):
         raise InputError(f"model document has a malformed entry: {exc}") from exc
     if not (support.shape == (2,) and support[0] < support[1]):
         raise InputError("model support must be [lo, hi] with lo < hi")
-    if psi.ndim != 1 or psi.size == 0:
-        raise InputError("model coefficients must be a non-empty list of numbers")
     meta = doc.get("fit_meta") or {}
     if not isinstance(meta, dict):
         raise InputError("model fit_meta must be a JSON object")

@@ -26,6 +26,7 @@ from numpy.polynomial import polynomial as npoly
 
 from . import ensembles
 from .decompress import auto_grid, checked_ratio, default_delta
+from .density_fit import trimmed
 from .errors import InputError, NumericalError
 
 __all__ = [
@@ -73,11 +74,6 @@ _SUPPORT_THRESHOLD = 1e-4  # support = where the density exceeds this fraction o
 _MASS_TOL = 1e-2  # largest mass error of an admissible approximant
 
 
-def _trimmed(p):
-    """p without its trailing zeros; an all-zero p keeps one."""
-    return np.trim_zeros(p, "b") if p.any() else p[:1]
-
-
 def _diagonal_pade(coeffs):
     """Diagonal Pade approximants [k/k] of the power series sum_i c_i w^i.
 
@@ -88,21 +84,21 @@ def _diagonal_pade(coeffs):
     by minimum-norm least squares (LAPACK gelsd; singular values below eps
     times the largest count as zero), so a series that is exactly rational
     of lower degree, whose deeper systems are singular, still gives that
-    rational function.  [k/k] needs c_1 .. c_2k nonzero and finite; the
-    list stops before the first k without them, and ``breakdown`` reports
-    whether that cut it short.
+    rational function.  [k/k] needs c_1 .. c_2k nonzero; the list stops
+    before the first k without them, and ``breakdown`` reports whether that
+    cut it short.
     """
     n = coeffs.size
     k_max = (n - 1) // 2
-    unusable = np.flatnonzero((coeffs[1:] == 0) | ~np.isfinite(coeffs[1:]))
-    count = k_max if unusable.size == 0 else min(k_max, unusable[0] // 2)
-    approximants = [(_trimmed(coeffs), np.ones(1))]
+    zero = np.flatnonzero(coeffs[1:] == 0)
+    count = k_max if zero.size == 0 else min(k_max, zero[0] // 2)
+    approximants = [(trimmed(coeffs), np.ones(1))]
     for k in range(1, count + 1):
         steps = np.arange(k)
         toeplitz = coeffs[k + steps[:, np.newaxis] - steps]  # entry (i, j) is c_(k+i-j)
         rhs = -coeffs[k + 1 : 2 * k + 1]
         q = np.concatenate([[1.0], np.linalg.lstsq(toeplitz, rhs, rcond=np.finfo(float).eps)[0]])
-        approximants.append((_trimmed(np.convolve(q, coeffs[: k + 1])[: k + 1]), _trimmed(q)))
+        approximants.append((trimmed(np.convolve(q, coeffs[: k + 1])[: k + 1]), trimmed(q)))
     return approximants, count < k_max
 
 
@@ -124,17 +120,13 @@ class ChebyshevPadeEvaluator:
     list at once); its approximants are those of T(v) = sum_j c_2j v^j at
     v = w^2, which ``approximant_count`` and ``breakdown`` then describe.
     ``decompressed(ratio)`` chooses the approximant a decompression uses.
-
-    Trailing zero coefficients (the tail cut by ``truncate_tail``) are
-    dropped first: they leave the series and its approximants unchanged,
-    but would read as a breakdown.
+    A model with a non-finite coefficient raises ``NumericalError``.
     """
 
     def __init__(self, model):
-        self.model, self.support = model, model.support
-        coeffs = model.psi
-        nonzero = np.flatnonzero(coeffs)
-        self.coeffs = coeffs[: nonzero[-1] + 1 if nonzero.size else 1]
+        if not np.isfinite(model.psi).all():
+            raise NumericalError("decompression failed: the model has non-finite coefficients")
+        self.model, self.support, self.coeffs = model, model.support, model.psi
         even = not np.any(self.coeffs[1::2])
         approximants, self.breakdown = _diagonal_pade(self.coeffs[::2] if even else self.coeffs)
         if even:
@@ -149,14 +141,18 @@ class ChebyshevPadeEvaluator:
         """The decompressed transform of the deepest admissible approximant.
 
         Approximants are tried deepest first (``FollowedRoot.admissible``).
-        Raises ``InputError`` for a ratio that is not finite and >= 1, and
-        when none passes: the model has no decompression by ``ratio``.  With
-        ``order``, the followed root of [order/order] is returned unchecked,
-        with no ``support``.
+        Raises ``InputError`` for a ratio that is not finite and >= 1, above
+        1 for a model whose mass is off 1 by more than ``_MASS_TOL`` (the
+        decompressed mass (mass + r - 1) / r would hide it), and when none
+        passes: the model has no decompression by ``ratio``.  With ``order``,
+        the followed root of [order/order] is returned unchecked, with no
+        ``support``.
         """
         r = checked_ratio(ratio)
-        if not np.isfinite(self.coeffs).all():
-            raise NumericalError("decompression failed: the model has non-finite coefficients")
+        mass = self.model.mass()
+        if r > 1 and abs(mass - 1.0) > _MASS_TOL:
+            raise InputError(f"the model's mass is {mass:.4g}, not 1 within {_MASS_TOL:g}: "
+                             "only a density of unit mass has a decompression")
         if order is not None:
             return FollowedRoot(*self._approximants[order], self.support, r, order)
         delta = default_delta(self.support)

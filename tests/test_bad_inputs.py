@@ -1,0 +1,101 @@
+"""Every input check raises ``InputError``, and the command line exits 2 on it.
+
+One row per check: a library call and the message it must raise, or a
+command line (without ``-o``) and the message its exit-2 error line must
+carry.  Bad files for the command line are in ``test_cli._BAD_INPUTS``.
+"""
+
+import re
+
+import numpy as np
+import pytest
+
+from freedec import (
+    InputError,
+    SpectrumSample,
+    chebyshev_coefficients,
+    chebyshev_coefficients_from_grid,
+    draw_ensemble,
+    eigenvalues_symmetric,
+    fit_density,
+    haar_orthogonal,
+    kesten_mckay_law,
+    law_hilbert,
+    law_stieltjes,
+    make_rng,
+    marchenko_pastur_law,
+    meixner_law,
+    wachter_law,
+    wigner_law,
+)
+from freedec.cli import main
+from freedec.io import model_from_dict
+from freedec.metrics import log_determinant, qmc_sample, total_variation, van_der_corput
+
+_X = np.linspace(1.0, 2.0, 5)
+_MODEL_DOC = {"schema_version": 1, "support": [0, 1], "basis": {"kind": "chebyshev-u"},
+              "coefficients": [4 / np.pi]}
+_KM2 = kesten_mckay_law(2)  # Q = 4 - x^2 vanishes at the edges +-2
+
+# the call, or a command line, and a pattern of its error message
+_BAD_CALLS = {
+    "wigner radius": (lambda: wigner_law(0.0), "radius must be positive"),
+    "mp ratio": (lambda: marchenko_pastur_law(-1.0), "ratio must be positive"),
+    "kesten-mckay d": (lambda: kesten_mckay_law(1), "d must be >= 2"),
+    "wachter a + b": (lambda: wachter_law(0.5, 0.5), "a \\+ b > 1"),
+    "meixner b": (lambda: meixner_law(0.0, 0.0, 0.5), "b must be positive"),
+    "meixner c": (lambda: meixner_law(0.0, 1.0, 1.5), "c must lie in"),
+    "law_stieltjes branch": (lambda: law_stieltjes(_KM2, 1j, "third"), "unknown branch 'third'"),
+    "law_hilbert Q vanishes": (lambda: law_hilbert(_KM2, np.nextafter(2.0, 0.0)), "Q\\(x\\) vanishes"),
+    "draw order": (lambda: draw_ensemble("wigner", 0, seed=0), "matrix order"),
+    "draw wachter d2": (lambda: draw_ensemble("wachter", 4, seed=0, d1=8), "d1 >= 1 and d2 >= 1"),
+    "draw wachter d1 + d2": (lambda: draw_ensemble("wachter", 4, seed=0, d1=2, d2=2), "d1 \\+ d2 > n"),
+    "draw meixner coeffs": (lambda: draw_ensemble("meixner", 4, seed=0, coeffs=(0.0, 1.0, 0.0)),
+                            "requires coeffs"),
+    "draw meixner off-diagonal": (lambda: draw_ensemble("meixner", 4, seed=0, coeffs=(0.0, 1.0, 0.0, -1.0)),
+                                  "off-diagonal"),
+    "draw unknown name": (lambda: draw_ensemble("gue", 4, seed=0), "unknown ensemble 'gue'"),
+    "make_rng without seed": (lambda: make_rng(None), "seed is required"),
+    "eigenvalues non-square": (lambda: eigenvalues_symmetric(np.ones((2, 3))), "square matrix"),
+    "haar order": (lambda: haar_orthogonal(0, seed=0), "order must be >= 1"),
+    "coefficients k_max": (lambda: chebyshev_coefficients(SpectrumSample(np.array([0.5]), 1), (0, 1), -1),
+                           "order must be >= 0"),
+    "grid coefficients k_max": (lambda: chebyshev_coefficients_from_grid(_X, np.ones(5), (1, 2), -1),
+                                "order must be >= 0"),
+    "fit empty sample": (lambda: fit_density(SpectrumSample(np.empty(0), 0)), "sample is empty"),
+    "fit not a sample": (lambda: fit_density(np.array([0.5, 1.0])), "expects a SpectrumSample"),
+    "log_determinant order": (lambda: log_determinant(_X, np.ones(5), 0), "order must be >= 1"),
+    "log_determinant no mass": (lambda: log_determinant(_X, np.zeros(5), 10), "no mass"),
+    "van_der_corput count": (lambda: van_der_corput(0), "at least one point"),
+    "qmc_sample zero density": (lambda: qmc_sample(_X, np.zeros(5), 3), "no mass on the grid"),
+    "normalize zero density": (lambda: total_variation(_X, np.zeros(5), np.ones(5)), "no mass on the grid"),
+    "model document not an object": (lambda: model_from_dict([1.0]), "not a JSON object"),
+    "model support reversed": (lambda: model_from_dict({**_MODEL_DOC, "support": [1, 0]}), "lo < hi"),
+    "model support of three": (lambda: model_from_dict({**_MODEL_DOC, "support": [0, 1, 2]}), "lo < hi"),
+    "cli sample mp without --d": (["sample", "--ensemble", "mp", "--n", "4", "--seed", "0"],
+                                  "degrees of freedom d >= 1"),
+    "cli sample kesten-mckay without --d": (
+        ["sample", "--ensemble", "kesten-mckay", "--n", "4", "--seed", "0"], "even d >= 2"),
+    "cli sample wachter without --d1": (
+        ["sample", "--ensemble", "wachter", "--n", "4", "--d2", "8", "--seed", "0"], "d1 >= 1 and d2 >= 1"),
+    "cli sample meixner without --a": (
+        ["sample", "--ensemble", "meixner", "--n", "4", "--b", "1", "--c", "0.5", "--seed", "0"],
+        "requires --a"),
+    "cli decompress malformed --grid": (
+        ["decompress", "--model", "no-such-model.json", "--ratio", "2", "--grid", "0:1"],
+        "grid spec '0:1'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_CALLS))
+def test_bad_input_raises_input_error(case, tmp_path, capsys):
+    call, pattern = _BAD_CALLS[case]
+    if callable(call):
+        with pytest.raises(InputError, match=pattern):
+            call()
+        return
+    out = tmp_path / "out"
+    assert main(call + ["-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("freedec: ") and re.search(pattern, err), err
+    assert not out.exists()

@@ -13,6 +13,7 @@ import pytest
 from freedec import ChebyshevPadeEvaluator, DensityModel, InputError
 from freedec.cli import _build_parser, main
 from freedec.io import (
+    atomic_write,
     load_density_csv,
     load_model,
     model_from_dict,
@@ -348,6 +349,7 @@ _BAD_INPUTS = {
     "decompress infinite support": (
         _DECOMPRESS_BAD, json.dumps({**_GOOD_MODEL, "support": [0, float("inf")]})
     ),
+    "decompress mass not 1": (_DECOMPRESS_BAD, json.dumps(_GOOD_MODEL)),  # mass pi / 4, not ratio 2's fault
     "decompress one-point grid": (
         ["decompress", "--ratio", "2", "--grid", "0.5:1:1", "--model"],
         json.dumps({**_GOOD_MODEL, "coefficients": [4 / np.pi, 0.1]}),  # one that decompresses
@@ -355,6 +357,7 @@ _BAD_INPUTS = {
     "metrics non-numeric cell": (["metrics", "--b", "{path}", "--a"],
                                  "x,density\n0.0,1.0\n0.5,abc\n1.0,1.0\n"),
     "metrics no rows": (["metrics", "--b", "{path}", "--a"], "x,density\n"),
+    "metrics bad header": (["metrics", "--b", "{path}", "--a"], "x,rho\n0.0,1.0\n1.0,1.0\n"),
     "metrics one row": (["metrics", "--b", "{path}", "--a"], "x,density\n0.0,1.0\n"),
     "metrics nan density": (["metrics", "--b", "{path}", "--a"],
                             "x,density\n0.0,1.0\n0.5,nan\n1.0,1.0\n"),
@@ -383,6 +386,17 @@ def test_bad_input_file_exits_2(case, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("freedec: ") and str(path) in err
     assert {p.name for p in tmp_path.iterdir()} <= {"input"}  # no output, no .diag.json
+
+
+def test_atomic_write_leaves_no_temporary_file(tmp_path):
+    # text UTF-8 cannot encode fails inside the write: the error reaches the
+    # caller, the old file is kept and no temporary file is left behind
+    target = tmp_path / "out.txt"
+    atomic_write(target, "old\n")
+    with pytest.raises(UnicodeEncodeError):
+        atomic_write(target, "new \ud800\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+    assert target.read_text() == "old\n"
 
 
 def test_metrics_command(tmp_path, capsys):

@@ -1,8 +1,4 @@
-"""Each demo script runs to completion against the current package.
-
-Demo 03 (a full x32 decompression, about 18 s) is left out to keep the
-suite fast; the acceptance tests cover the same pipeline.
-"""
+"""Each demo script runs to completion against the current package."""
 
 import os
 import subprocess
@@ -12,7 +8,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-DEMOS = ["01_benchmark_laws.py", "02_fit_submatrix_spectrum.py",
+DEMOS = ["01_benchmark_laws.py", "02_fit_submatrix_spectrum.py", "03_free_decompression.py",
          "04_branches_and_crossing.py", "05_metrics_and_sampling.py"]
 
 

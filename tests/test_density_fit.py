@@ -171,6 +171,33 @@ def test_repair_blends_when_the_descent_stalls():
         assert fixed.density(np.linspace(-1.0, 1.0, 2048)).min() >= -1e-9
 
 
+def test_repair_blend_takes_the_largest_feasible_weight():
+    # the blend theta psi0 + (1 - theta) floor, floor the unit-mass single-mode
+    # model, is nonnegative at every constraint node and touches zero at one,
+    # so a slightly larger theta dips below zero there
+    from freedec.density_fit import _REPAIR_GRID, chebyshev_nodes
+
+    for psi in ([0.049, -0.089, -0.086, -0.17], [174.073, 87.66]):
+        bad = DensityModel(support=(-1.0, 1.0), basis="chebyshev-u", psi=np.array(psi))
+        fixed = repair_positivity_mass(bad)
+        assert fixed.repair_warning and fixed.psi.size == bad.psi.size
+        floor = np.zeros(bad.psi.size)
+        floor[0] = 4.0 / (np.pi * bad.width)
+        # fixed = blend / mass(blend) with mass(blend) = theta m0 + 1 - theta:
+        # psi_1 of fixed over psi_1 of bad is s = theta / mass(blend)
+        s = fixed.psi[1] / bad.psi[1]
+        theta = s / (1.0 - s * (bad.mass() - 1.0))
+        assert 0.0 < theta < 1.0
+        nodes = chebyshev_nodes(bad.support, _REPAIR_GRID)
+
+        def blend(weight):
+            return replace(bad, psi=weight * bad.psi + (1.0 - weight) * floor).density(nodes)
+
+        tol = 1e-15 * blend(theta).max()  # rounding
+        assert blend(theta).min() >= -tol
+        assert blend(theta * (1.0 + 1e-6)).min() < -tol
+
+
 def test_repair_keeps_truncated_tail_zero():
     # a log-spaced spectrum needs the repair; it must not refill the tail
     # that truncate_tail zeroed
@@ -178,6 +205,23 @@ def test_repair_keeps_truncated_tail_zero():
     assert model.repaired
     assert np.count_nonzero(model.psi) == model.meta["k_eff"] + 1
     assert model.mass() == pytest.approx(1.0, abs=1e-6)
+
+
+def test_model_keeps_coefficients_up_to_the_last_nonzero():
+    model = DensityModel(support=(0.0, 1.0), basis="chebyshev-u", psi=[0.5, -0.25, 0.0, 0.0])
+    assert model.psi.tolist() == [0.5, -0.25] and model.order == 1
+    assert DensityModel(support=(0.0, 1.0), basis="chebyshev-u", psi=np.zeros(5)).psi.tolist() == [0.0]
+    for psi in ([], [[1.0]], 1.0):
+        with pytest.raises(InputError, match="non-empty list"):
+            DensityModel(support=(0.0, 1.0), basis="chebyshev-u", psi=psi)
+
+
+def test_fit_keeps_only_the_coefficients_before_the_tail():
+    # a feasible fit is the moment estimate's prefix, k_eff + 1 coefficients
+    sample = _semicircle_sample(2000)
+    model = fit_density(sample, k_max=50)
+    assert not model.repaired and model.psi.size == model.meta["k_eff"] + 1 == 7
+    assert np.array_equal(model.psi, chebyshev_coefficients(sample, model.support, 50)[:7])
 
 
 def test_fit_density_invariants():

@@ -12,6 +12,7 @@ from freedec import (
     DensityModel,
     InputError,
     LawEvaluator,
+    NumericalError,
     chebyshev_coefficients_from_grid,
     evaluator_for_model,
     joukowski,
@@ -248,6 +249,34 @@ def test_pade_decompressed_rejects_bad_ratio_before_following(monkeypatch, ratio
     monkeypatch.setattr(stieltjes, "FollowedRoot", no_follow)
     with pytest.raises(InputError, match="finite and >= 1"):
         ev.decompressed(ratio, order=order)
+
+
+@pytest.mark.parametrize("order", [None, 0])
+def test_pade_decompressed_rejects_wrong_mass_before_following(monkeypatch, order):
+    # the decompressed mass (M + r - 1) / r hides a wrong source mass M: the
+    # exact MP(1/50) model scaled to mass 0.9 would decompress x32 to mass
+    # 0.996 with no failed point
+    model, _ = _mp_model(lam=1 / 50, k_max=20)
+    ev = ChebyshevPadeEvaluator(DensityModel(support=model.support, basis="chebyshev-u",
+                                             psi=0.9 * model.psi))
+    # ratio 1 is no decompression: the model's own transform stays available
+    own = ev.decompressed(1.0, order=ev.approximant_count).stieltjes(1j)
+    unit = ChebyshevPadeEvaluator(model)
+    assert own == pytest.approx(0.9 * unit.decompressed(1.0, order=unit.approximant_count).stieltjes(1j),
+                                rel=1e-12)
+
+    def no_follow(*args):
+        raise AssertionError("an approximant was followed")
+
+    monkeypatch.setattr(stieltjes, "FollowedRoot", no_follow)
+    with pytest.raises(InputError, match="mass is 0.9, not 1"):
+        ev.decompressed(32.0, order=order)
+
+
+def test_pade_evaluator_refuses_non_finite_model_when_built():
+    model = DensityModel(support=(0.0, 1.0), basis="chebyshev-u", psi=[4 / np.pi, np.nan, 0.0])
+    with pytest.raises(NumericalError, match="non-finite"):
+        ChebyshevPadeEvaluator(model)
 
 
 # ---------------------------------------------------------------------------
