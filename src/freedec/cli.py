@@ -16,7 +16,6 @@ import argparse
 import json
 import os
 import sys
-import warnings
 
 import numpy as np
 
@@ -88,23 +87,12 @@ def _cmd_sample(args):
     else:
         draw = ens.draw_ensemble(name, args.n, args.seed, d=args.d, d1=args.d1, d2=args.d2)
         eigs = la.eigenvalues_symmetric(draw.matrix).eigenvalues
-    fio.atomic_write(args.output, "\n".join(f"{v:.17g}" for v in eigs) + "\n")
+    fio.save_eigenvalues(args.output, eigs)
     return 0
 
 
 def _cmd_fit(args):
-    try:
-        with warnings.catch_warnings():  # no values is reported below, as an InputError
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            values = np.loadtxt(args.eigs, ndmin=1)
-    except (OSError, ValueError) as exc:
-        raise InputError(f"cannot read eigenvalues {args.eigs}: {exc}") from exc
-    if values.size == 0:
-        raise InputError(f"eigenvalues {args.eigs} has no values")
-    if values.ndim != 1:
-        raise InputError(f"eigenvalues {args.eigs} must be one column, got shape {values.shape}")
-    sample = la.SpectrumSample(np.sort(values), values.size)
-    model = df.fit_density(sample, k_max=args.order)
+    model = df.fit_density(fio.load_eigenvalues(args.eigs), k_max=args.order)
     fio.save_model(args.output, model)
     grid = np.linspace(model.support[0], model.support[1], 2048)
     dens = model.density(grid)

@@ -45,19 +45,14 @@ class DecompressionRequest:
     """Inputs of one decompression run.
 
     ``ratio`` is n / n_s, finite and >= 1.  ``grid`` is an explicit finite,
-    strictly increasing array or 'auto'.  The points are evaluated at
-    ``default_delta`` of the source support above the axis, the height at
+    strictly increasing array or 'auto'.  The points are evaluated
+    ``default_delta`` (1e-3 source widths) above the axis, the height at
     which a fitted model's approximant choice checks its mass.
     """
 
     evaluator: object
-    ratio: float | None = None
+    ratio: float
     grid: object = "auto"
-
-    def resolved_ratio(self):
-        if self.ratio is None:
-            raise InputError("need a decompression ratio")
-        return checked_ratio(self.ratio)
 
 
 @dataclass(frozen=True)
@@ -81,19 +76,26 @@ class DecompressionResult:
         return float(np.trapezoid(np.where(self.failed, 0.0, self.density), self.grid))
 
 
+def _number(value, name):
+    try:
+        return float(value)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{name} must be a number, got {value!r}") from exc
+
+
 def checked_ratio(ratio):
-    """``ratio`` as a float; ``InputError`` unless it is finite and >= 1."""
-    r = float(ratio)
+    """``ratio`` as a float; ``InputError`` unless it is a finite number >= 1."""
+    r = _number(ratio, "decompression ratio")
     if not 1 <= r < np.inf:
         raise InputError(f"decompression ratio must be finite and >= 1, got {r:g}")
     return r
 
 
 def default_delta(support):
-    """The evaluation offset for a source support: 1e-3 of its width, capped
-    so wide spectra still satisfy delta in (0, 1)."""
+    """The evaluation offset for a source support: 1e-3 of its width.  With
+    no absolute scale in it, a decompression commutes with x -> s x."""
     lo, hi = support
-    return min(1e-3 * (hi - lo), 0.5)
+    return 1e-3 * (hi - lo)
 
 
 def auto_grid(support):
@@ -115,7 +117,7 @@ def decompress_density(request):
     that transform, or at ratio 1 the density, is not finite is failed, and
     more than 5% failed inside the support raise ``NumericalError``.
     """
-    ratio = request.resolved_ratio()
+    ratio = checked_ratio(request.ratio)
     evaluator = request.evaluator
     delta = default_delta(evaluator.support)
     decompressed = evaluator.decompressed(ratio) if ratio > 1 else None
@@ -153,6 +155,7 @@ def decompress_density(request):
 def track_support(evaluator, t):
     """Support interval of the decompressed density at scale t: the
     support of ``evaluator.decompressed(e^t)``."""
+    t = _number(t, "decompression scale t")
     if not 0 <= t < np.inf:
         raise InputError(f"decompression scale t must be finite and >= 0, got {t:g}")
     lo, hi = evaluator.support if t == 0 else evaluator.decompressed(np.exp(t)).support
@@ -181,6 +184,7 @@ def verify_crossing(evaluator, z, t_max=8.0, dt=0.05):
     z = complex(z)
     if z.imag <= 0:
         raise InputError("crossing verification expects z in the open upper half-plane")
+    dt, t_max = _number(dt, "step dt"), _number(t_max, "t_max")
     if not (0 < dt < np.inf and np.isfinite(t_max)):
         raise InputError(f"crossing verification needs a finite step dt > 0 and a finite t_max, "
                          f"got dt={dt:g}, t_max={t_max:g}")

@@ -145,7 +145,7 @@ def chebyshev_coefficients(sample, support, k_max):
         raise InputError("support must enclose all eigenvalues")
     t = _affine_to_unit(ev, (lo, hi))
     u = _chebyshev_u_matrix(t, k_max)
-    return 4.0 / (np.pi * sample.source_order * (hi - lo)) * u.sum(axis=1)
+    return 4.0 / (np.pi * ev.size * (hi - lo)) * u.sum(axis=1)
 
 
 def chebyshev_coefficients_from_grid(x, rho, support, k_max):
@@ -244,13 +244,11 @@ def estimate_support_edges(sample):
     and is flagged.
     """
     ev = sample.eigenvalues
-    if ev.size == 0:
-        raise InputError("sample is empty")
     raw = ev[-1] - ev[0]
     if raw <= 0:
-        half = max(_DEGENERATE_PAD / sample.source_order, 0.5e-8 * (1.0 + abs(ev[0])))
+        half = max(_DEGENERATE_PAD / ev.size, 0.5e-8 * (1.0 + abs(ev[0])))
         return SupportEstimate(ev[0] - half, ev[0] + half, True)
-    pad = _PAD_SCALE * raw * sample.source_order ** (-2.0 / 3.0)
+    pad = _PAD_SCALE * raw * ev.size ** (-2.0 / 3.0)
     return SupportEstimate(ev[0] - pad, ev[-1] + pad, False)
 
 
@@ -290,6 +288,6 @@ def fit_density(sample, k_max=50):
         basis="chebyshev-u",
         psi=psi,
         degenerate_support=degenerate,
-        meta={"n_s": sample.source_order, "k_max": k_max, "k_eff": psi.size - 1},
+        meta={"n_s": sample.eigenvalues.size, "k_max": k_max, "k_eff": psi.size - 1},
     )
     return repair_positivity_mass(model)

@@ -24,6 +24,7 @@ import numpy as np
 from .decompress import checked_ratio
 from .errors import InputError, NumericalError
 from .linalg import _haar, make_rng
+from .metrics import cumulative_trapezoid
 
 __all__ = [
     "EnsembleLaw",
@@ -201,8 +202,7 @@ def law_cdf(law, x):
     """Distribution function of ``law`` (continuous part plus atoms)."""
     lo, hi = law.support
     grid = np.linspace(lo, hi, _CDF_GRID)
-    dens = law_density(law, grid)
-    cum = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(grid))])
+    cum = cumulative_trapezoid(grid, law_density(law, grid))
     x = np.asarray(x, dtype=float)
     vals = np.interp(x, grid, cum, left=0.0, right=cum[-1])
     for loc, mass in law.atoms:

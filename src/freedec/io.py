@@ -1,8 +1,9 @@
-"""Model and density file formats.
+"""Eigenvalue, model and density file formats.
 
-Models serialize to a versioned JSON document; densities to a two-column
-CSV with full float precision.  Writes go through a temp file plus rename
-so partially written files are never observed.
+Eigenvalues serialize to one value a line, models to a versioned JSON
+document, densities to a two-column CSV, all with full float precision.
+Writes go through a temp file plus rename so partially written files are
+never observed, and every ``InputError`` a load raises names the file.
 """
 
 from __future__ import annotations
@@ -16,9 +17,12 @@ import numpy as np
 
 from .density_fit import DensityModel
 from .errors import InputError
+from .linalg import SpectrumSample
 from .metrics import checked_density
 
 __all__ = [
+    "save_eigenvalues",
+    "load_eigenvalues",
     "model_to_dict",
     "model_from_dict",
     "save_model",
@@ -46,6 +50,25 @@ def atomic_write(path, text):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _loadtxt(source, **kwargs):
+    # a file with no rows loads as an empty array, which its caller rejects
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        return np.loadtxt(source, **kwargs)
+
+
+def save_eigenvalues(path, eigenvalues):
+    atomic_write(path, "\n".join(f"{v:.17g}" for v in eigenvalues) + "\n")
+
+
+def load_eigenvalues(path):
+    """The ``SpectrumSample`` of an eigenvalue file: one value a line, in any order."""
+    try:
+        return SpectrumSample(np.sort(_loadtxt(path, ndmin=1)))
+    except (OSError, ValueError) as exc:  # InputError is a ValueError
+        raise InputError(f"eigenvalues {path}: {exc}") from exc
 
 
 def model_to_dict(model):
@@ -108,14 +131,12 @@ def save_model(path, model):
 
 
 def load_model(path):
-    """``model_from_dict`` of a JSON file; any ``InputError`` names the file."""
+    """``model_from_dict`` of a JSON file."""
     try:
         with open(path, encoding="utf-8") as handle:
             return model_from_dict(json.load(handle))
-    except InputError as exc:
+    except (OSError, ValueError) as exc:  # InputError and json.JSONDecodeError are ValueErrors
         raise InputError(f"model {path}: {exc}") from exc
-    except (OSError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
-        raise InputError(f"cannot read model {path}: {exc}") from exc
 
 
 def _checked_nonnegative(x, density):
@@ -139,12 +160,7 @@ def load_density_csv(path):
             header = handle.readline().strip()
             if header != "x,density":
                 raise InputError(f"unexpected density CSV header {header!r}")
-            with warnings.catch_warnings():  # no rows is reported below, as an InputError
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-                x, density = np.loadtxt(handle, delimiter=",", ndmin=2, usecols=(0, 1), unpack=True)
-    except (OSError, ValueError) as exc:
-        raise InputError(f"cannot read density CSV {path}: {exc}") from exc
-    try:
-        return _checked_nonnegative(x, density)
-    except InputError as exc:
+            x, density = _loadtxt(handle, delimiter=",", ndmin=2, usecols=(0, 1), unpack=True)
+            return _checked_nonnegative(x, density)
+    except (OSError, ValueError) as exc:  # InputError is a ValueError
         raise InputError(f"density CSV {path}: {exc}") from exc

@@ -39,23 +39,15 @@ def make_rng(seed):
 
 @dataclass(frozen=True)
 class SpectrumSample:
-    """Eigenvalues of a sampled principal submatrix.
-
-    Attributes
-    ----------
-    eigenvalues : ndarray
-        All eigenvalues, sorted ascending.
-    source_order : int
-        Dimension of the (sub)matrix the eigenvalues came from.
-    """
+    """All eigenvalues of a sampled principal submatrix, sorted ascending;
+    their count is the submatrix order n_s."""
 
     eigenvalues: np.ndarray
-    source_order: int
 
     def __post_init__(self):
         ev = np.asarray(self.eigenvalues, dtype=float)
-        if ev.ndim != 1 or ev.size != self.source_order:
-            raise InputError("eigenvalue count must equal source_order")
+        if ev.ndim != 1 or ev.size == 0:
+            raise InputError(f"sample is empty or not a 1-d array: shape {ev.shape}")
         bad = np.flatnonzero(~np.isfinite(ev))
         if bad.size:
             raise InputError(f"eigenvalue {float(ev[bad[0]])} is not finite")
@@ -92,7 +84,7 @@ def eigenvalues_symmetric(a):
         ev = np.linalg.eigvalsh(a)  # ascending, as SpectrumSample checks
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NumericalError(f"symmetric eigensolve failed to converge: {exc}") from exc
-    return SpectrumSample(ev, a.shape[0])
+    return SpectrumSample(ev)
 
 
 def _random_index_subset(n, k, rng):

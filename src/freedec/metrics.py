@@ -13,7 +13,7 @@ distribution function over a van der Corput sequence.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -163,6 +163,11 @@ def van_der_corput(count):
     return out
 
 
+def cumulative_trapezoid(x, rho):
+    """The trapezoid integrals of ``rho`` over [x[0], x[i]], one per point."""
+    return np.concatenate([[0.0], np.cumsum(0.5 * (rho[1:] + rho[:-1]) * np.diff(x))])
+
+
 def qmc_sample(x, rho, count, seed=0):
     """Low-discrepancy sample of a grid density by inverse transform.
 
@@ -173,7 +178,7 @@ def qmc_sample(x, rho, count, seed=0):
     """
     x, rho = checked_density(x, rho)
     rho = np.maximum(rho, 0.0)
-    cdf = np.concatenate([[0.0], np.cumsum(0.5 * (rho[1:] + rho[:-1]) * np.diff(x))])
+    cdf = cumulative_trapezoid(x, rho)
     if cdf[-1] <= 0:
         raise InputError("density has no mass on the grid")
     cdf = np.maximum.accumulate(cdf / cdf[-1])
@@ -195,17 +200,8 @@ class DensityComparison:
     logdet_a: float | None = None
     logdet_b: float | None = None
 
-    def to_dict(self):
-        return {
-            "tv": self.tv,
-            "js": self.js,
-            "moment_rel_err": list(self.moment_rel_err),
-            "logdet_a": self.logdet_a,
-            "logdet_b": self.logdet_b,
-        }
-
     def to_json(self):
-        return json.dumps(self.to_dict(), indent=2)
+        return json.dumps(asdict(self), indent=2)
 
     def to_table(self):
         rows = [

@@ -285,7 +285,7 @@ def test_identity_decompression():
     for name, law in _five_laws().items():
         grid = np.linspace(law.support[0], law.support[1], 4096)
         eigs = qmc_sample(grid, law_density(law, grid), 2000)
-        model = fit_density(SpectrumSample(eigs, eigs.size), k_max=50)
+        model = fit_density(SpectrumSample(eigs), k_max=50)
         res = decompress_density(
             DecompressionRequest(evaluator=ChebyshevPadeEvaluator(model), ratio=1.0)
         )

@@ -11,10 +11,14 @@ import numpy as np
 import pytest
 
 from freedec import (
+    DecompressionRequest,
     InputError,
+    LawEvaluator,
     SpectrumSample,
     chebyshev_coefficients,
     chebyshev_coefficients_from_grid,
+    decompress_density,
+    decompressed_law,
     draw_ensemble,
     eigenvalues_symmetric,
     fit_density,
@@ -25,6 +29,8 @@ from freedec import (
     make_rng,
     marchenko_pastur_law,
     meixner_law,
+    track_support,
+    verify_crossing,
     wachter_law,
     wigner_law,
 )
@@ -36,6 +42,7 @@ _X = np.linspace(1.0, 2.0, 5)
 _MODEL_DOC = {"schema_version": 1, "support": [0, 1], "basis": {"kind": "chebyshev-u"},
               "coefficients": [4 / np.pi]}
 _KM2 = kesten_mckay_law(2)  # Q = 4 - x^2 vanishes at the edges +-2
+_SEMICIRCLE = LawEvaluator(wigner_law(2.0))
 
 # the call, or a command line, and a pattern of its error message
 _BAD_CALLS = {
@@ -55,14 +62,20 @@ _BAD_CALLS = {
     "draw meixner off-diagonal": (lambda: draw_ensemble("meixner", 4, seed=0, coeffs=(0.0, 1.0, 0.0, -1.0)),
                                   "off-diagonal"),
     "draw unknown name": (lambda: draw_ensemble("gue", 4, seed=0), "unknown ensemble 'gue'"),
+    "decompressed_law ratio None": (lambda: decompressed_law(_KM2, None), "ratio must be a number, got None"),
+    "decompress ratio '2x'": (lambda: decompress_density(DecompressionRequest(evaluator=_SEMICIRCLE, ratio="2x")),
+                              "ratio must be a number, got '2x'"),
+    "track_support t None": (lambda: track_support(_SEMICIRCLE, None), "scale t must be a number"),
+    "verify_crossing t_max None": (lambda: verify_crossing(_SEMICIRCLE, 1j, t_max=None),
+                                   "t_max must be a number"),
     "make_rng without seed": (lambda: make_rng(None), "seed is required"),
     "eigenvalues non-square": (lambda: eigenvalues_symmetric(np.ones((2, 3))), "square matrix"),
     "haar order": (lambda: haar_orthogonal(0, seed=0), "order must be >= 1"),
-    "coefficients k_max": (lambda: chebyshev_coefficients(SpectrumSample(np.array([0.5]), 1), (0, 1), -1),
+    "coefficients k_max": (lambda: chebyshev_coefficients(SpectrumSample(np.array([0.5])), (0, 1), -1),
                            "order must be >= 0"),
     "grid coefficients k_max": (lambda: chebyshev_coefficients_from_grid(_X, np.ones(5), (1, 2), -1),
                                 "order must be >= 0"),
-    "fit empty sample": (lambda: fit_density(SpectrumSample(np.empty(0), 0)), "sample is empty"),
+    "fit empty sample": (lambda: fit_density(SpectrumSample(np.empty(0))), "sample is empty"),
     "fit not a sample": (lambda: fit_density(np.array([0.5, 1.0])), "expects a SpectrumSample"),
     "log_determinant order": (lambda: log_determinant(_X, np.ones(5), 0), "order must be >= 1"),
     "log_determinant no mass": (lambda: log_determinant(_X, np.zeros(5), 10), "no mass"),

@@ -383,6 +383,41 @@ def test_support_probe_widens_just_above_ratio_one(monkeypatch):
         assert abs(res.mass() - 1.0) <= 5e-3
 
 
+def test_probe_gives_up_when_the_density_never_decays(monkeypatch):
+    # A density above the threshold at both ends of all four probe widths
+    # gives the approximant no support: every one is rejected, so the ratio
+    # is outside the model's decompression domain.
+    widths = []
+    probe_line = FollowedRoot._probe_line
+
+    def recording(self, doubling):
+        widths.append(doubling)
+        return probe_line(self, doubling)
+
+    monkeypatch.setattr(FollowedRoot, "_probe_line", recording)
+    monkeypatch.setattr(FollowedRoot, "_transform", lambda self, w: np.full(w.shape, 1j * np.pi))
+    ev = ChebyshevPadeEvaluator(_exact_model(marchenko_pastur_law(1 / 50), k_max=20))
+    with pytest.raises(InputError, match="domain"):
+        ev.decompressed(8.0)
+    # the admissibility follow's first width, then the probe's four
+    assert widths == [0, 0, 1, 2, 3] * (ev.approximant_count + 1)
+
+
+@pytest.mark.parametrize("scale", [2.0 ** 10, 2.0 ** 14])
+def test_decompression_commutes_with_scaling(scale):
+    # x -> s x takes a density rho to rho(x / s) / s.  delta is a fixed
+    # fraction of the source width, so with s a power of two every step of
+    # the decompression scales exactly.
+    model = _exact_model(marchenko_pastur_law(1 / 50), k_max=20)
+    scaled = DensityModel(support=(scale * model.support[0], scale * model.support[1]),
+                          basis="chebyshev-u", psi=model.psi / scale)
+    base, result = (decompress_density(DecompressionRequest(evaluator=ChebyshevPadeEvaluator(m), ratio=8.0))
+                    for m in (model, scaled))
+    assert result.decompressed.order == base.decompressed.order
+    assert np.array_equal(result.grid, scale * base.grid)
+    assert np.array_equal(result.density, base.density / scale)
+
+
 def test_auto_grid_is_the_sorted_chebyshev_nodes():
     # on the supports of the law_oracle benchmark's laws and their decompressions
     cases = [(marchenko_pastur_law(1 / 50), (2, 8, 32)), (wigner_law(2.0), (2, 8, 32)),
@@ -405,10 +440,9 @@ def test_explicit_grid_and_validation():
         decompress_density(
             DecompressionRequest(evaluator=ev, ratio=4.0, grid=np.array([1.0, 0.5]))
         )
-    with pytest.raises(InputError):
-        DecompressionRequest(evaluator=ev).resolved_ratio()
-    with pytest.raises(InputError):
-        DecompressionRequest(evaluator=ev, ratio=0.5).resolved_ratio()
+    for ratio in (None, 0.5):
+        with pytest.raises(InputError, match="decompression ratio"):
+            decompress_density(DecompressionRequest(evaluator=ev, ratio=ratio))
 
 
 def test_non_finite_ratio_is_bad_input():

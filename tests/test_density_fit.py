@@ -24,7 +24,7 @@ def _semicircle_sample(n, seed=42):
     cdf = np.concatenate([[0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(xs))])
     cdf /= cdf[-1]
     ev = np.sort(np.interp(rng.uniform(0, 1, n), cdf, xs))
-    return SpectrumSample(ev, n)
+    return SpectrumSample(ev)
 
 
 # ---------------------------------------------------------------------------
@@ -33,7 +33,7 @@ def _semicircle_sample(n, seed=42):
 
 def test_support_formula():
     # each side is padded by half the width times n^{-2/3}
-    s = SpectrumSample(np.array([0.0, 1.0]), 2)
+    s = SpectrumSample(np.array([0.0, 1.0]))
     lo, hi, degenerate = estimate_support_edges(s)
     pad = 0.5 * 2 ** (-2 / 3)
     assert (lo, hi) == pytest.approx((-pad, 1.0 + pad))
@@ -41,7 +41,7 @@ def test_support_formula():
 
 
 def test_support_degenerate():
-    s = SpectrumSample(np.array([5.0, 5.0, 5.0]), 3)
+    s = SpectrumSample(np.array([5.0, 5.0, 5.0]))
     lo, hi, degenerate = estimate_support_edges(s)
     assert degenerate
     assert lo < 5.0 < hi
@@ -53,7 +53,7 @@ def test_support_covers_mp_edges():
     x = rng.standard_normal((1000, 50000 // 10))  # d=5000 keeps the test light
     a = x @ x.T / 5000
     ev = np.sort(np.linalg.eigvalsh((a + a.T) / 2))
-    lo, hi, _ = estimate_support_edges(SpectrumSample(ev, 1000))
+    lo, hi, _ = estimate_support_edges(SpectrumSample(ev))
     law_edges = marchenko_pastur_law(0.2).support
     assert lo == pytest.approx(law_edges[0], abs=0.05)
     assert hi == pytest.approx(law_edges[1], abs=0.05)
@@ -73,13 +73,13 @@ def test_semicircle_moment_coefficients():
 def test_symmetric_sample_odd_coefficients_vanish():
     s = _semicircle_sample(40000, seed=7)
     sym = np.sort(np.concatenate([s.eigenvalues, -s.eigenvalues]))
-    psi = chebyshev_coefficients(SpectrumSample(sym, sym.size), (-1.0, 1.0), 12)
+    psi = chebyshev_coefficients(SpectrumSample(sym), (-1.0, 1.0), 12)
     odd = psi[1::2]
     assert np.max(np.abs(odd)) <= 3.0 / np.sqrt(sym.size)
 
 
 def test_moment_estimator_rejects_outliers():
-    s = SpectrumSample(np.array([0.0, 2.0]), 2)
+    s = SpectrumSample(np.array([0.0, 2.0]))
     with pytest.raises(InputError):
         chebyshev_coefficients(s, (0.0, 1.0), 4)
 
@@ -113,7 +113,7 @@ def test_model_rejects_infinite_support():
 def test_affine_equivariance():
     s = _semicircle_sample(5000, seed=3)
     scale, shift = 2.5, -0.7
-    mapped = SpectrumSample(np.sort(scale * s.eigenvalues + shift), s.source_order)
+    mapped = SpectrumSample(np.sort(scale * s.eigenvalues + shift))
     m1 = fit_density(s, k_max=16)
     m2 = fit_density(mapped, k_max=16)
     grid = np.linspace(*m1.support, 1500)
@@ -130,7 +130,7 @@ def _mp_model(seed=4):
     x = rng.standard_normal((500, 2500))
     a = x @ x.T / 2500
     ev = np.sort(np.linalg.eigvalsh((a + a.T) / 2))
-    return fit_density(SpectrumSample(ev, 500), k_max=30)
+    return fit_density(SpectrumSample(ev), k_max=30)
 
 
 def test_repair_fixed_point():
@@ -201,7 +201,7 @@ def test_repair_blend_takes_the_largest_feasible_weight():
 def test_repair_keeps_truncated_tail_zero():
     # a log-spaced spectrum needs the repair; it must not refill the tail
     # that truncate_tail zeroed
-    model = fit_density(SpectrumSample(np.geomspace(1e-2, 1e2, 400), 400))
+    model = fit_density(SpectrumSample(np.geomspace(1e-2, 1e2, 400)))
     assert model.repaired
     assert np.count_nonzero(model.psi) == model.meta["k_eff"] + 1
     assert model.mass() == pytest.approx(1.0, abs=1e-6)
