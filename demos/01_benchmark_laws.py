@@ -28,8 +28,8 @@ for name, law in laws.items():
     z = rng.uniform(lo, hi, 50) + 1j * rng.uniform(0.1, 2.0, 50) * (hi - lo)
     m = fd.law_stieltjes(law, z)
     quad = np.max(np.abs(
-        npoly.polyval(z, law.q.astype(complex)) * m * m
-        - npoly.polyval(z, law.p.astype(complex)) * m + 1.0
+        npoly.polyval(z, law.q) * m * m
+        - npoly.polyval(z, law.p) * m + 1.0
     ))
     # R is the other side of the coin: R(-m(w)) - 1/m(w) returns w
     rres = np.max(np.abs(fd.law_r_transform(law, -m) - 1.0 / m - z))

@@ -76,9 +76,9 @@ class DecompressionResult:
         return float(np.trapezoid(np.where(self.failed, 0.0, self.density), self.grid))
 
 
-def _number(value, name):
+def _number(value, name, kind=float):
     try:
-        return float(value)
+        return kind(value)
     except (TypeError, ValueError) as exc:
         raise InputError(f"{name} must be a number, got {value!r}") from exc
 
@@ -126,7 +126,10 @@ def decompress_density(request):
     if isinstance(request.grid, str) and request.grid == "auto":
         grid = auto_grid(support)
     else:
-        grid = np.asarray(request.grid, dtype=float)
+        try:
+            grid = np.asarray(request.grid, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"explicit grid must be 'auto' or numbers, got {request.grid!r}") from exc
         finite = grid.ndim == 1 and grid.size >= 1 and np.isfinite(grid).all()
         if not finite or np.any(np.diff(grid) <= 0):
             raise InputError("explicit grid must be finite and strictly increasing")
@@ -156,9 +159,11 @@ def track_support(evaluator, t):
     """Support interval of the decompressed density at scale t: the
     support of ``evaluator.decompressed(e^t)``."""
     t = _number(t, "decompression scale t")
-    if not 0 <= t < np.inf:
-        raise InputError(f"decompression scale t must be finite and >= 0, got {t:g}")
-    lo, hi = evaluator.support if t == 0 else evaluator.decompressed(np.exp(t)).support
+    with np.errstate(over="ignore"):
+        ratio = np.exp(t)
+    if not (0 <= t and np.isfinite(ratio)):
+        raise InputError(f"decompression scale t must be >= 0 with a finite e^t, got {t:g}")
+    lo, hi = evaluator.support if t == 0 else evaluator.decompressed(ratio).support
     return (float(lo), float(hi))
 
 
@@ -181,7 +186,7 @@ def verify_crossing(evaluator, z, t_max=8.0, dt=0.05):
     approximant is chosen once, at t = dt, so phi is one analytic function
     of t.
     """
-    z = complex(z)
+    z = _number(z, "target z", complex)
     if z.imag <= 0:
         raise InputError("crossing verification expects z in the open upper half-plane")
     dt, t_max = _number(dt, "step dt"), _number(t_max, "t_max")

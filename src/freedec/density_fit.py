@@ -69,6 +69,12 @@ def trimmed(p):
     return np.trim_zeros(p, "b") if p.any() else p[:1]
 
 
+def _check_order(k_max):
+    """``InputError`` unless ``k_max`` is an integer >= 0 (a numpy integer too)."""
+    if not isinstance(k_max, (int, np.integer)) or k_max < 0:
+        raise InputError(f"polynomial order must be >= 0 and an integer, got {k_max!r}")
+
+
 def _chebyshev_u_matrix(t, k_max):
     """Rows U_0(t) .. U_kmax(t) via the three-term recurrence."""
     t = np.asarray(t)
@@ -137,8 +143,7 @@ def chebyshev_coefficients(sample, support, k_max):
     psi_k = 4 / (pi n W) * sum_i U_k(M(lambda_i)), which is the unbiased
     projection estimator for the sqrt-weighted Chebyshev expansion.
     """
-    if k_max < 0:
-        raise InputError("polynomial order must be >= 0")
+    _check_order(k_max)
     lo, hi = support[0], support[1]
     ev = sample.eigenvalues
     if ev[0] < lo or ev[-1] > hi:
@@ -158,8 +163,7 @@ def chebyshev_coefficients_from_grid(x, rho, support, k_max):
     sin((k + 1) theta_j), on ``rho`` linearly interpolated at the N nodes.
     The grid counterpart of :func:`chebyshev_coefficients`.
     """
-    if k_max < 0:
-        raise InputError("polynomial order must be >= 0")
+    _check_order(k_max)
     x, rho = checked_density(x, rho)
     theta = np.pi * (np.arange(_PROJECTION_GRID) + 0.5) / _PROJECTION_GRID
     rho_theta = np.interp(np.cos(theta), _affine_to_unit(x, support), rho)
@@ -261,8 +265,8 @@ def truncate_tail(psi):
     continuation pure noise, which it amplifies into spurious pole structure.
     """
     psi = np.asarray(psi, dtype=float)
-    half = psi[psi.size // 2 :]
-    floor = 1.4826 * np.median(np.abs(half)) if half.size else 0.0
+    half = np.sort(np.abs(psi[psi.size // 2 :]))  # the median by hand: np.median imports numpy.ma
+    floor = 1.4826 * ((half[(half.size - 1) // 2] + half[half.size // 2]) / 2)
     above = np.where(np.abs(psi) > 2.5 * floor)[0]
     k_eff = int(np.clip(above.max() if above.size else _K_MIN, _K_MIN, _K_CAP))
     return psi[: k_eff + 1]
@@ -288,6 +292,6 @@ def fit_density(sample, k_max=50):
         basis="chebyshev-u",
         psi=psi,
         degenerate_support=degenerate,
-        meta={"n_s": sample.eigenvalues.size, "k_max": k_max, "k_eff": psi.size - 1},
+        meta={"n_s": sample.eigenvalues.size, "k_max": int(k_max), "k_eff": psi.size - 1},
     )
     return repair_positivity_mass(model)

@@ -52,17 +52,16 @@ _CDF_GRID = 4096  # trapezoid nodes of law_cdf over the support
 class EnsembleLaw:
     """Closed-form spectral law.
 
-    ``p`` and ``q`` are polynomial coefficient arrays (low degree first, up to
-    degree 2) of the quadratic Stieltjes identity, with q2 + p1 + 1 = 0 (unit
-    mass); ``atoms`` lists the ``(location, mass)`` point masses outside the
-    continuous density.
+    ``p = (p0, p1)`` and ``q = (q0, q1, q2)`` are the coefficients (floats,
+    low degree first) of P and Q in the quadratic Stieltjes identity, with
+    q2 + p1 + 1 = 0 (unit mass); ``atoms`` lists the ``(location, mass)``
+    point masses outside the continuous density.
     """
 
     name: str
-    params: dict
     support: tuple[float, float]
-    p: np.ndarray
-    q: np.ndarray
+    p: tuple[float, float]
+    q: tuple[float, float, float]
     atoms: list[tuple[float, float]] = field(default_factory=list)
 
     @property
@@ -72,13 +71,6 @@ class EnsembleLaw:
     def stieltjes(self, z):
         """The principal transform, as ``law_stieltjes``."""
         return law_stieltjes(self, z)
-
-
-def _coefficients(p, q):
-    """(p0, p1, q0, q1, q2) as floats, the terms missing from ``p`` and ``q`` zero."""
-    p0, p1 = (*np.asarray(p, dtype=float).tolist(), 0.0, 0.0)[:2]
-    q0, q1, q2 = (*np.asarray(q, dtype=float).tolist(), 0.0, 0.0, 0.0)[:3]
-    return p0, p1, q0, q1, q2
 
 
 def _real_roots(c0, c1, c2):
@@ -99,7 +91,7 @@ def _real_roots(c0, c1, c2):
     return [0.0, 0.0] if t == 0.0 else sorted((t / c2, c0 / t))
 
 
-def _make_law(name, params, p, q):
+def _make_law(name, p, q):
     """The law of Q m^2 - P m + 1 = 0, with its support and atoms.
 
     The support [lo, hi] is the pair of real roots of P^2 - 4Q.  Atoms sit
@@ -107,8 +99,7 @@ def _make_law(name, params, p, q):
     m = 2/(P + s) has its pole, P(x0) + s(x0) = 0 (there s^2 = P^2, so
     sign P = -sign s); the mass, the residue of -m, is -P(x0)/Q'(x0).
     """
-    p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
-    p0, p1, q0, q1, q2 = coefficients = _coefficients(p, q)
+    p0, p1, q0, q1, q2 = coefficients = tuple(map(float, (*p, *q)))
     if not all(map(math.isfinite, coefficients)):
         raise InputError(f"{name!r} needs finite parameters")
     edges = _real_roots(p0 * p0 - 4.0 * q0, 2.0 * p0 * p1 - 4.0 * q1, p1 * p1 - 4.0 * q2)
@@ -122,30 +113,29 @@ def _make_law(name, params, p, q):
         px = p0 + p1 * x0
         if px * s < 0:
             atoms.append((x0, -px / (q1 + 2.0 * q2 * x0)))
-    return EnsembleLaw(name, params, (lo, hi), p, q, atoms)
+    return EnsembleLaw(name, (lo, hi), (p0, p1), (q0, q1, q2), atoms)
 
 
 def wigner_law(r=2.0):
     """Semicircle of radius ``r``: P = -z, Q = r^2/4, R(z) = (r^2/4) z."""
     if r <= 0:
         raise InputError("semicircle radius must be positive")
-    return _make_law("wigner", {"r": r}, [0.0, -1.0], [r * r / 4.0])
+    return _make_law("wigner", (0.0, -1.0), (r * r / 4.0, 0.0, 0.0))
 
 
 def marchenko_pastur_law(lam):
     """Marchenko-Pastur with ratio ``lam``: P = 1 - lam - z, Q = lam z."""
     if lam <= 0:
         raise InputError("Marchenko-Pastur ratio must be positive")
-    return _make_law("mp", {"lam": lam}, [1 - lam, -1.0], [0.0, lam])
+    return _make_law("mp", (1 - lam, -1.0), (0.0, lam, 0.0))
 
 
 def kesten_mckay_law(d):
     """Kesten-McKay with degree parameter ``d >= 2``."""
     if d < 2:
         raise InputError("Kesten-McKay parameter d must be >= 2")
-    p = [0.0, (2.0 - d) / (d - 1.0)]
-    q = [d * d / (d - 1.0), 0.0, -1.0 / (d - 1.0)]
-    return _make_law("kesten-mckay", {"d": d}, p, q)
+    return _make_law("kesten-mckay", (0.0, (2.0 - d) / (d - 1.0)),
+                     (d * d / (d - 1.0), 0.0, -1.0 / (d - 1.0)))
 
 
 def wachter_law(a, b):
@@ -153,9 +143,8 @@ def wachter_law(a, b):
     if a <= 0 or b <= 0 or a + b <= 1:
         raise InputError("Wachter requires a > 0, b > 0 and a + b > 1")
     s = a + b
-    p = [(a - 1.0) / (s - 1.0), -(s - 2.0) / (s - 1.0)]
-    q = [0.0, 1.0 / (s - 1.0), -1.0 / (s - 1.0)]
-    return _make_law("wachter", {"a": a, "b": b}, p, q)
+    return _make_law("wachter", ((a - 1.0) / (s - 1.0), -(s - 2.0) / (s - 1.0)),
+                     (0.0, 1.0 / (s - 1.0), -1.0 / (s - 1.0)))
 
 
 def meixner_law(a, b, c):
@@ -170,9 +159,7 @@ def meixner_law(a, b, c):
         raise InputError("Meixner parameter b must be positive")
     if not 0 < c <= 1:
         raise InputError("Meixner parameter c must lie in (0, 1]")
-    p = [-a * c, c - 2.0]
-    q = [b * c * c, a * c, 1.0 - c]
-    return _make_law("meixner", {"a": a, "b": b, "c": c}, p, q)
+    return _make_law("meixner", (-a * c, c - 2.0), (b * c * c, a * c, 1.0 - c))
 
 
 # ----------------------------------------------------------------------
@@ -188,7 +175,7 @@ def law_density(law, x):
     x = np.asarray(x, dtype=float)
     lo, hi = law.support
     inside = (x > lo) & (x < hi)
-    p0, p1, q0, q1, q2 = _coefficients(law.p, law.q)
+    (p0, p1), (q0, q1, q2) = law.p, law.q
     pv = p0 + p1 * x
     qv = q0 + x * (q1 + x * q2)
     disc = 4.0 * qv - pv * pv
@@ -232,7 +219,7 @@ def law_stieltjes(law, z, branch="principal"):
     on_axis = z.imag == 0
     if np.any(on_axis):
         z = np.where(on_axis, z + 1j * 1e-10 * (1.0 + np.abs(z)), z)
-    p0, p1 = _coefficients(law.p, law.q)[:2]
+    p0, p1 = law.p
     s = -(2.0 + p1) * _sqrt_cut(z, *law.support)
     if branch == "secondary":
         s = np.where(z.imag < 0, -s, s)
@@ -249,7 +236,7 @@ def law_hilbert(law, x):
     lo, hi = law.support
     if np.any(x_arr <= lo) or np.any(x_arr >= hi):
         raise InputError("Hilbert transform is the rational form only inside the open support")
-    p0, p1, q0, q1, q2 = _coefficients(law.p, law.q)
+    (p0, p1), (q0, q1, q2) = law.p, law.q
     qv = q0 + x_arr * (q1 + x_arr * q2)
     if np.any(np.abs(qv) < _TINY):
         raise InputError("Q(x) vanishes at the requested point")
@@ -268,7 +255,7 @@ def law_r_transform(law, z):
     beta's side.
     """
     g = np.asarray(z, dtype=complex)
-    p0, p1, q0, q1, q2 = _coefficients(law.p, law.q)
+    (p0, p1), (q0, q1, q2) = law.p, law.q
     beta = q1 * g + 2.0 * q2 + p1
     gamma = q0 * g + q1 + p0
     root = np.sqrt(beta * beta - 4.0 * q2 * g * gamma)
@@ -311,14 +298,14 @@ def decompressed_law(law, ratio):
     c / (c - 1) of a free Meixner law with c > 1 and is negative beyond it.
     """
     r = checked_ratio(ratio)
-    p0, p1, q0, q1, q2 = _coefficients(law.p, law.q)
+    (p0, p1), (q0, q1, q2) = law.p, law.q
     a = r - 1.0
     c = 1.0 - a * p1 + a * a * q2
     if c <= 0:
         raise InputError(f"ratio {r:g} is outside the decompression domain of {law.name!r}")
-    p_new = [r * (p0 - a * q1) / c, r * (p1 - a * (2.0 * q2)) / c]
-    q_new = [r * r * q0 / c, r * r * q1 / c, r * r * q2 / c]
-    return _make_law(f"{law.name} x{r:g}", {"source": law, "ratio": r}, p_new, q_new)
+    p_new = (r * (p0 - a * q1) / c, r * (p1 - a * (2.0 * q2)) / c)
+    q_new = (r * r * q0 / c, r * r * q1 / c, r * r * q2 / c)
+    return _make_law(f"{law.name} x{r:g}", p_new, q_new)
 
 
 # ----------------------------------------------------------------------

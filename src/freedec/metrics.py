@@ -142,8 +142,9 @@ def log_determinant(x, rho, order):
     if x0 <= 1e-12 * max(1.0, x[-1]):
         raise InputError("support touches zero; exclude atoms before the log-determinant")
     rho = _normalize(x, rho)
-    xs = np.unique(np.concatenate([x, np.geomspace(x0, x[-1], 4096)]))
-    xs = xs[xs >= x0]
+    # sorted without repeats, as np.unique (which imports numpy.ma) gives them
+    xs = np.sort(np.concatenate([x, np.geomspace(x0, x[-1], 4096)]))
+    xs = xs[(xs >= x0) & (np.diff(xs, prepend=-np.inf) > 0)]
     rs = np.interp(xs, x, rho)
     return float(order * np.trapezoid(np.log(xs) * rs, xs))
 

@@ -225,8 +225,8 @@ def test_quadratic_identity():
         lo, hi = law.support
         z = rng.uniform(lo - 1, hi + 1, 100) + 1j * rng.uniform(0.01, 3.0, 100)
         m = law_stieltjes(law, z)
-        pv = npoly.polyval(z, law.p.astype(complex))
-        qv = npoly.polyval(z, law.q.astype(complex))
+        pv = npoly.polyval(z, law.p)
+        qv = npoly.polyval(z, law.q)
         worst = max(worst, float(np.max(np.abs(qv * m * m - pv * m + 1.0))))
     ok = worst <= 1e-12
     _verdict("quadratic identity", ok, f"max residual={worst:.2e} (gate 1e-12)")

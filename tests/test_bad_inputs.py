@@ -43,6 +43,7 @@ _MODEL_DOC = {"schema_version": 1, "support": [0, 1], "basis": {"kind": "chebysh
               "coefficients": [4 / np.pi]}
 _KM2 = kesten_mckay_law(2)  # Q = 4 - x^2 vanishes at the edges +-2
 _SEMICIRCLE = LawEvaluator(wigner_law(2.0))
+_THREE = SpectrumSample(np.array([0.5, 1.0, 2.0]))
 
 # the call, or a command line, and a pattern of its error message
 _BAD_CALLS = {
@@ -68,11 +69,17 @@ _BAD_CALLS = {
     "track_support t None": (lambda: track_support(_SEMICIRCLE, None), "scale t must be a number"),
     "verify_crossing t_max None": (lambda: verify_crossing(_SEMICIRCLE, 1j, t_max=None),
                                    "t_max must be a number"),
+    "verify_crossing z None": (lambda: verify_crossing(_SEMICIRCLE, None), "target z must be a number, got None"),
+    "decompress grid '0:1:5'": (lambda: decompress_density(DecompressionRequest(_SEMICIRCLE, 2.0, grid="0:1:5")),
+                                "'auto' or numbers, got '0:1:5'"),
     "make_rng without seed": (lambda: make_rng(None), "seed is required"),
     "eigenvalues non-square": (lambda: eigenvalues_symmetric(np.ones((2, 3))), "square matrix"),
     "haar order": (lambda: haar_orthogonal(0, seed=0), "order must be >= 1"),
     "coefficients k_max": (lambda: chebyshev_coefficients(SpectrumSample(np.array([0.5])), (0, 1), -1),
                            "order must be >= 0"),
+    "fit k_max None": (lambda: fit_density(_THREE, k_max=None), "order must be >= 0 and an integer, got None"),
+    "fit k_max 2.5": (lambda: fit_density(_THREE, k_max=2.5), "order must be >= 0 and an integer, got 2.5"),
+    "fit k_max -1": (lambda: fit_density(_THREE, k_max=-1), "order must be >= 0 and an integer, got -1"),
     "grid coefficients k_max": (lambda: chebyshev_coefficients_from_grid(_X, np.ones(5), (1, 2), -1),
                                 "order must be >= 0"),
     "fit empty sample": (lambda: fit_density(SpectrumSample(np.empty(0))), "sample is empty"),

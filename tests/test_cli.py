@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from freedec import ChebyshevPadeEvaluator, DensityModel, InputError
+from freedec import ChebyshevPadeEvaluator, DensityModel, InputError, SpectrumSample, fit_density
 from freedec.cli import _build_parser, main
 from freedec.io import (
     atomic_write,
@@ -50,6 +50,8 @@ assert main(["sample", "--ensemble", "wigner", "--n", "8", "--seed", "1", "-o", 
 assert main(["sample", "--ensemble", "mp", "--n", "30", "--d", "300", "--seed", "1",
              "-o", "mp.txt"]) == 0
 loaded.append("scipy" in sys.modules)
+# np.median and np.unique would import numpy.ma on their first call
+assert "numpy.ma" not in sys.modules
 print(loaded)
 """
 
@@ -244,6 +246,9 @@ def test_model_roundtrip_exact():
         del doc[key]
     old = model_from_dict(doc)
     assert not (old.degenerate_support or old.repaired or old.repair_warning)
+    # a numpy integer order is a valid k_max, and the fit's meta writes it as a JSON number
+    fitted = fit_density(SpectrumSample(np.array([0.5, 1.0, 2.0])), k_max=np.int64(8))
+    assert model_from_dict(json.loads(json.dumps(model_to_dict(fitted)))).meta["k_max"] == 8
 
 
 def test_model_schema_validation(tmp_path):

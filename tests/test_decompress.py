@@ -98,10 +98,12 @@ def test_wigner_symmetry_pins_root_to_axis():
 def test_negative_time_rejected():
     with pytest.raises(InputError):
         track_support(LawEvaluator(wigner_law(2.0)), -0.5)
-    # so is a NaN or infinite time, not with numpy's LinAlgError
+    # so is a NaN or infinite time, not with numpy's LinAlgError, and a time
+    # whose e^t overflows, with no overflow warning (pytest's settings make
+    # a RuntimeWarning an error)
     for ev in (LawEvaluator(wigner_law(2.0)), ChebyshevPadeEvaluator(_exact_model(wigner_law(2.0), 20))):
-        for t in (np.nan, np.inf):
-            with pytest.raises(InputError, match="finite"):
+        for t in (np.nan, np.inf, 709.8, 1000.0):
+            with pytest.raises(InputError, match=f"scale t .*finite.*, got {t:g}"):
                 track_support(ev, t)
 
 
