@@ -145,10 +145,15 @@ class ChebyshevPadeEvaluator:
         1 for a model whose mass is off 1 by more than ``_MASS_TOL`` (the
         decompressed mass (mass + r - 1) / r would hide it), and when none
         passes: the model has no decompression by ``ratio``.  With ``order``,
-        the followed root of [order/order] is returned unchecked, with no
+        an integer in 0 .. ``approximant_count`` (else ``InputError``), the
+        followed root of [order/order] is returned unchecked, with no
         ``support``.
         """
         r = checked_ratio(ratio)
+        if order is not None and not (isinstance(order, (int, np.integer))
+                                      and 0 <= order <= self.approximant_count):
+            raise InputError(f"approximant order must be an integer in 0 .. {self.approximant_count}, "
+                             f"got {order!r}")
         mass = self.model.mass()
         if r > 1 and abs(mass - 1.0) > _MASS_TOL:
             raise InputError(f"the model's mass is {mass:.4g}, not 1 within {_MASS_TOL:g}: "
@@ -211,12 +216,21 @@ class FollowedRoot:
         self._table = table
 
     def _values(self, w):
-        """A, A', B and B' at the points of the 1-d array w.  One point is
-        padded to two: numpy takes its matrix-vector route for a single row,
-        whose last bits differ from a batch's."""
+        """A, A', B and B' at the points of the 1-d array w.
+
+        The powers w^0 .. w^(rows - 1) are built down the columns of a
+        (rows x points) table, one power of all points per product.
+        ``powers.T`` stays the left operand of the product with the
+        coefficient table: ``table.T @ powers`` changes the last bits.  One
+        point is padded to two: numpy takes its matrix-vector route for a
+        single row, whose last bits differ from a batch's."""
         if w.size == 1:
             return self._values(np.concatenate([w, w]))[:, :1]
-        return (np.vander(w, self._table.shape[0], increasing=True) @ self._table).T
+        powers = np.empty((self._table.shape[0], w.size), dtype=complex)
+        powers[0] = 1.0
+        powers[1:] = w
+        np.multiply.accumulate(powers[1:], axis=0, out=powers[1:])
+        return (powers.T @ self._table).T
 
     def _heights(self, y, count):
         steps = np.arange(count + 1)[:, np.newaxis] / count
@@ -285,8 +299,11 @@ class FollowedRoot:
 
     def stieltjes(self, z):
         """The decompressed transform m' at points of the open upper
-        half-plane; NaN where the follow failed."""
+        half-plane; NaN where the follow failed.  A point with Im z <= 0 or
+        a part that is not finite raises ``InputError``."""
         z = np.asarray(z, dtype=complex)
+        if not (np.isfinite(z) & (z.imag > 0)).all():
+            raise InputError("the decompressed transform takes finite points of the open upper half-plane")
         if self._on_grid is not None and np.array_equal(z, self._on_grid[0]):
             return self._on_grid[1].copy()
         w, converged = self._follow(z.real.ravel(), z.imag.ravel())

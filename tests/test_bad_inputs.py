@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 
 from freedec import (
+    ChebyshevPadeEvaluator,
     DecompressionRequest,
+    DensityModel,
     InputError,
     LawEvaluator,
     SpectrumSample,
@@ -44,6 +46,10 @@ _MODEL_DOC = {"schema_version": 1, "support": [0, 1], "basis": {"kind": "chebysh
 _KM2 = kesten_mckay_law(2)  # Q = 4 - x^2 vanishes at the edges +-2
 _SEMICIRCLE = LawEvaluator(wigner_law(2.0))
 _THREE = SpectrumSample(np.array([0.5, 1.0, 2.0]))
+# unit mass on [0, 1] with five coefficients: approximants [0/0] .. [2/2]
+_PADE = ChebyshevPadeEvaluator(DensityModel(support=(0.0, 1.0), basis="chebyshev-u",
+                                            psi=[4 / np.pi, 0.1, 0.05, 0.02, 0.01]))
+_FOLLOWED = _PADE.decompressed(2.0, order=2)
 
 # the call, or a command line, and a pattern of its error message
 _BAD_CALLS = {
@@ -72,6 +78,12 @@ _BAD_CALLS = {
     "verify_crossing z None": (lambda: verify_crossing(_SEMICIRCLE, None), "target z must be a number, got None"),
     "decompress grid '0:1:5'": (lambda: decompress_density(DecompressionRequest(_SEMICIRCLE, 2.0, grid="0:1:5")),
                                 "'auto' or numbers, got '0:1:5'"),
+    "pade order -1": (lambda: _PADE.decompressed(2.0, order=-1), "integer in 0 \\.\\. 2, got -1"),
+    "pade order 99": (lambda: _PADE.decompressed(2.0, order=99), "integer in 0 \\.\\. 2, got 99"),
+    "pade order 2.5": (lambda: _PADE.decompressed(2.0, order=2.5), "integer in 0 \\.\\. 2, got 2.5"),
+    "followed stieltjes on the axis": (lambda: _FOLLOWED.stieltjes(0.1 + 0j), "open upper half-plane"),
+    "followed stieltjes below the axis": (lambda: _FOLLOWED.stieltjes([1j, 0.1 - 0.01j]), "open upper half-plane"),
+    "followed stieltjes nan": (lambda: _FOLLOWED.stieltjes(np.nan + 1j), "open upper half-plane"),
     "make_rng without seed": (lambda: make_rng(None), "seed is required"),
     "eigenvalues non-square": (lambda: eigenvalues_symmetric(np.ones((2, 3))), "square matrix"),
     "haar order": (lambda: haar_orthogonal(0, seed=0), "order must be >= 1"),

@@ -17,6 +17,7 @@ from freedec import (
     evaluator_for_model,
     joukowski,
     joukowski_inverse,
+    kesten_mckay_law,
     law_density,
     law_stieltjes,
     make_rng,
@@ -31,12 +32,16 @@ def _quad_transform(density, lo, hi, z):
     return re + 1j * im
 
 
-def _mp_model(lam=0.5, k_max=40):
-    law = marchenko_pastur_law(lam)
+def _exact_model(law, k_max):
     sup = (law.support[0] - 1e-9, law.support[1] + 1e-9)
     xs = np.linspace(sup[0], sup[1], 8192)
     psi = chebyshev_coefficients_from_grid(xs, law_density(law, xs), sup, k_max)
-    return DensityModel(support=sup, basis="chebyshev-u", psi=psi), law
+    return DensityModel(support=sup, basis="chebyshev-u", psi=psi)
+
+
+def _mp_model(lam=0.5, k_max=40):
+    law = marchenko_pastur_law(lam)
+    return _exact_model(law, k_max), law
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +276,30 @@ def test_pade_decompressed_rejects_wrong_mass_before_following(monkeypatch, orde
     monkeypatch.setattr(stieltjes, "FollowedRoot", no_follow)
     with pytest.raises(InputError, match="mass is 0.9, not 1"):
         ev.decompressed(32.0, order=order)
+
+
+def test_followed_root_values_match_the_vandermonde_product_bit_for_bit():
+    # A, A', B and B' from the power table built down its columns equal the
+    # row-wise Vandermonde product, on every approximant of the exact
+    # MP(1/50) K = 20 and even Kesten-McKay(4) K = 50 models
+    km = _exact_model(kesten_mckay_law(4), 50)
+    km = DensityModel(support=km.support, basis="chebyshev-u",
+                      psi=np.where(np.arange(km.psi.size) % 2 == 0, km.psi, 0.0))
+    rng = make_rng(28)
+    rows_seen = set()
+    for ev in (ChebyshevPadeEvaluator(_mp_model(lam=1 / 50, k_max=20)[0]), ChebyshevPadeEvaluator(km)):
+        for order in range(ev.approximant_count + 1):
+            followed = ev.decompressed(2.0, order=np.int64(order))
+            rows = followed._table.shape[0]
+            rows_seen.add(rows)
+            for n in (2, 3, 211, 1000):
+                w = rng.normal(size=n) + 1j * rng.normal(size=n)
+                want = (np.vander(w, rows, increasing=True) @ followed._table).T
+                assert np.array_equal(followed._values(w), want), (order, n)
+            # one point is row 0 of the batch that repeats it
+            want = (np.vander(np.repeat(w[:1], 2), rows, increasing=True) @ followed._table).T[:, :1]
+            assert np.array_equal(followed._values(w[:1]), want), order
+    assert (min(rows_seen), max(rows_seen)) == (4, 53)
 
 
 def test_pade_evaluator_refuses_non_finite_model_when_built():
