@@ -129,7 +129,7 @@ def _cmd_decompress(args):
     try:  # the ratio, the model's mass, the grid, the points left on a one-point --grid
         result = dc.decompress_density(request)
         good = ~result.failed
-        fio.save_density_csv(args.output, result.grid[good], np.maximum(result.density[good], 0.0))
+        fio.save_density_csv(args.output, result.grid[good], result.density[good])
     except InputError as exc:
         raise InputError(f"decompressing model {args.model}: {exc}") from exc
     followed = result.decompressed  # None at ratio 1

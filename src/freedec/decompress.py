@@ -91,6 +91,17 @@ def checked_ratio(ratio):
     return r
 
 
+def checked_upper_half(z):
+    """``z`` as a complex array of finite points with Im z > 0, else ``InputError``."""
+    try:
+        z = np.asarray(z, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"expected points of the open upper half-plane, got {z!r}") from exc
+    if not (np.isfinite(z) & (z.imag > 0)).all():
+        raise InputError("expected finite points of the open upper half-plane")
+    return z
+
+
 def default_delta(support):
     """The evaluation offset for a source support: 1e-3 of its width.  With
     no absolute scale in it, a decompression commutes with x -> s x."""
@@ -187,8 +198,7 @@ def verify_crossing(evaluator, z, t_max=8.0, dt=0.05):
     of t.
     """
     z = _number(z, "target z", complex)
-    if z.imag <= 0:
-        raise InputError("crossing verification expects z in the open upper half-plane")
+    checked_upper_half(z)
     dt, t_max = _number(dt, "step dt"), _number(t_max, "t_max")
     if not (0 < dt < np.inf and np.isfinite(t_max)):
         raise InputError(f"crossing verification needs a finite step dt > 0 and a finite t_max, "

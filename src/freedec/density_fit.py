@@ -14,7 +14,6 @@ unit mass.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -24,7 +23,6 @@ from .metrics import checked_density
 
 __all__ = [
     "DensityModel",
-    "SupportEstimate",
     "estimate_support_edges",
     "chebyshev_coefficients",
     "chebyshev_coefficients_from_grid",
@@ -41,12 +39,6 @@ _REPAIR_STEP = 1e-2  # gradient step, relative to the coefficient norm
 _PAD_SCALE = 0.5  # edge padding in units of width * n^{-2/3}
 _DEGENERATE_PAD = 1e-3  # half-width, times n, around a fully degenerate spectrum
 _K_MIN, _K_CAP = 4, 6  # range of the tail cutoff order
-
-
-class SupportEstimate(NamedTuple):
-    lo: float
-    hi: float
-    degenerate: bool = False
 
 
 def _affine_to_unit(x, support):
@@ -238,7 +230,7 @@ def _basis_matrix(support, x, order):
 
 
 def estimate_support_edges(sample):
-    """Support with Tracy-Widom-scaled edge padding.
+    """Support ``(lo, hi, degenerate)`` with Tracy-Widom-scaled edge padding.
 
     The extreme eigenvalues sit O(n^{-2/3}) inside the limiting edges and,
     placed exactly on the interval boundary, make the moment estimator's
@@ -251,9 +243,9 @@ def estimate_support_edges(sample):
     raw = ev[-1] - ev[0]
     if raw <= 0:
         half = max(_DEGENERATE_PAD / ev.size, 0.5e-8 * (1.0 + abs(ev[0])))
-        return SupportEstimate(ev[0] - half, ev[0] + half, True)
+        return ev[0] - half, ev[0] + half, True
     pad = _PAD_SCALE * raw * ev.size ** (-2.0 / 3.0)
-    return SupportEstimate(ev[0] - pad, ev[-1] + pad, False)
+    return ev[0] - pad, ev[-1] + pad, False
 
 
 def truncate_tail(psi):

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .decompress import checked_ratio
+from .decompress import checked_ratio, checked_upper_half
 from .errors import InputError, NumericalError
 from .linalg import _haar, make_rng
 from .metrics import cumulative_trapezoid
@@ -69,8 +69,8 @@ class EnsembleLaw:
         return self.support[1] - self.support[0]
 
     def stieltjes(self, z):
-        """The principal transform, as ``law_stieltjes``."""
-        return law_stieltjes(self, z)
+        """``law_stieltjes`` on the open upper half-plane alone (else ``InputError``)."""
+        return law_stieltjes(self, checked_upper_half(z))
 
 
 def _real_roots(c0, c1, c2):

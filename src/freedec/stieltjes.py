@@ -25,7 +25,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from . import ensembles
-from .decompress import auto_grid, checked_ratio, default_delta
+from .decompress import auto_grid, checked_ratio, checked_upper_half, default_delta
 from .density_fit import trimmed
 from .errors import InputError, NumericalError
 
@@ -126,9 +126,9 @@ class ChebyshevPadeEvaluator:
     def __init__(self, model):
         if not np.isfinite(model.psi).all():
             raise NumericalError("decompression failed: the model has non-finite coefficients")
-        self.model, self.support, self.coeffs = model, model.support, model.psi
-        even = not np.any(self.coeffs[1::2])
-        approximants, self.breakdown = _diagonal_pade(self.coeffs[::2] if even else self.coeffs)
+        self.model, self.support = model, model.support
+        even = not np.any(model.psi[1::2])
+        approximants, self.breakdown = _diagonal_pade(model.psi[::2] if even else model.psi)
         if even:
             approximants = [(_spread(num), _spread(den)) for num, den in approximants]
         self._approximants = approximants
@@ -160,10 +160,9 @@ class ChebyshevPadeEvaluator:
                              "only a density of unit mass has a decompression")
         if order is not None:
             return FollowedRoot(*self._approximants[order], self.support, r, order)
-        delta = default_delta(self.support)
         for k in range(self.approximant_count, -1, -1):
             followed = FollowedRoot(*self._approximants[k], self.support, r, k)
-            if followed.admissible(delta):
+            if followed.admissible():
                 followed.candidates_tried = self.approximant_count + 1 - k
                 return followed
         raise InputError(f"ratio {r:g} is outside the decompression domain of the model: "
@@ -193,10 +192,11 @@ class FollowedRoot:
     K = 40 models x32 on another root); NaN where that ends unconverged.
     The decompressed transform is m' = m(z) / r = -pi w N(w) / (r D(w)).
 
-    ``order`` is k.  ``admissible`` sets ``support`` and
-    ``harmless_branch_points`` and keeps m' on the auto grid of its mass
-    check, for a decompression there.  ``candidates_tried`` counts the
-    approximants the choice checked, ``refined_points`` the points followed again.
+    ``order`` is k.  ``admissible``, at the source support's offset delta
+    (``default_delta``), sets ``support`` and ``harmless_branch_points`` and
+    keeps m' on the auto grid of its mass check, for a decompression there.
+    ``candidates_tried`` counts the approximants the choice checked,
+    ``refined_points`` the points followed again.
     """
 
     def __init__(self, num, den, source_support, ratio, order):
@@ -205,7 +205,7 @@ class FollowedRoot:
         self.num, self.den, self.ratio, self.order = num, den, ratio, order
         self.support, self.harmless_branch_points, self._on_grid = None, 0, None
         self.candidates_tried, self.refined_points = 0, 0
-        self._centre, self._half, self._a = c, h, a
+        self._centre, self._half, self._a, self._delta = c, h, a, default_delta(source_support)
         self._top = _TOP * ratio * (hi - lo)
         big = npoly.polyadd(np.pi * npoly.polymul(num, [h, 2.0 * c, h]), 2.0 * a * den)
         small = 2.0 * np.pi * npoly.polymulx(num)
@@ -298,12 +298,9 @@ class FollowedRoot:
             return -np.pi * w * npoly.polyval(w, self.num) / (self.ratio * npoly.polyval(w, self.den))
 
     def stieltjes(self, z):
-        """The decompressed transform m' at points of the open upper
-        half-plane; NaN where the follow failed.  A point with Im z <= 0 or
-        a part that is not finite raises ``InputError``."""
-        z = np.asarray(z, dtype=complex)
-        if not (np.isfinite(z) & (z.imag > 0)).all():
-            raise InputError("the decompressed transform takes finite points of the open upper half-plane")
+        """The decompressed transform m' at finite points of the open upper
+        half-plane (else ``InputError``); NaN where the follow failed."""
+        z = checked_upper_half(z)
         if self._on_grid is not None and np.array_equal(z, self._on_grid[0]):
             return self._on_grid[1].copy()
         w, converged = self._follow(z.real.ravel(), z.imag.ravel())
@@ -319,16 +316,16 @@ class FollowedRoot:
         half = max(self.ratio, 1.0) * self._half * 2.0 ** doubling
         return self._centre + half * np.linspace(-1.0, 1.0, _PROBE)
 
-    def _probe(self, y, dens):
+    def _probe(self, dens):
         """The contiguous run above ``_SUPPORT_THRESHOLD`` of the peak around
-        the peak, on the probe line at height y, doubled in width until the
-        density decays at both ends: (points, index of the last point below
-        the threshold on each side, threshold), or None without decay or
-        with a failed point.  ``dens`` is given on the first width."""
+        the peak, on the probe line at height ``_PROBE_HEIGHT`` delta, doubled
+        in width until the density decays at both ends: (points, index of the
+        last point below the threshold on each side, threshold), or None
+        without decay or with a failed point.  ``dens`` is on the first width."""
         for doubling in range(4):
             xs = self._probe_line(doubling)
             if doubling:
-                dens = self._density(xs, y)
+                dens = self._density(xs, _PROBE_HEIGHT * self._delta)
             thresh = _SUPPORT_THRESHOLD * dens.max()
             if not (np.isfinite(dens).all() and thresh > 0):
                 return None
@@ -339,19 +336,19 @@ class FollowedRoot:
                 return xs, below[below < peak][-1], below[below > peak][0], thresh
         return None
 
-    def _edges(self, xs, first, last, thresh, y):
+    def _edges(self, xs, first, last, thresh):
         """The probe's run edges, each refined to 64^-4 of the probe spacing."""
         ends = np.array([[xs[first], xs[first + 1]], [xs[last], xs[last - 1]]])  # [outside, inside]
         frac = np.linspace(0.0, 1.0, 65)
         edge = np.arange(2)
         for _ in range(4):
             pts = ends[:, :1] + frac * (ends[:, 1:] - ends[:, :1])
-            inside = self._density(pts[:, 1:-1].ravel(), y).reshape(2, -1) > thresh
+            inside = self._density(pts[:, 1:-1], _PROBE_HEIGHT * self._delta) > thresh
             j = 1 + np.argmax(np.column_stack([inside, np.ones(2, dtype=bool)]), axis=1)
             ends = np.column_stack([pts[edge, j - 1], pts[edge, j]])
         return tuple(float(end) for end in ends.mean(axis=1))
 
-    def _singular_points(self, delta):
+    def _singular_points(self):
         """Branch points and poles of the decompressed transform, in w, and
         their images x'(w), where those lie more than delta above the axis."""
         num, den, h, a = self.num, self.den, self._half, self._a
@@ -365,7 +362,7 @@ class FollowedRoot:
         with np.errstate(all="ignore"):
             image = (self._centre + 0.5 * h * (points + 1.0 / points)
                      + a * npoly.polyval(points, den) / (np.pi * points * npoly.polyval(points, num)))
-        keep = np.isfinite(image) & (image.imag > delta)
+        keep = np.isfinite(image) & (image.imag > self._delta)
         return points[keep], image[keep]
 
     def _reached(self, points, image, w):
@@ -379,7 +376,7 @@ class FollowedRoot:
             w = self._newton(w, image, _POLISH)[0]
         return ~(np.abs(w - points) > 1e-4 * (1.0 + np.abs(points)))
 
-    def admissible(self, delta):
+    def admissible(self):
         """Whether this approximant's decompressed transform is usable.
 
         The branch points of the inverse map x'(w) = c + h (w + 1/w) / 2 +
@@ -399,12 +396,12 @@ class FollowedRoot:
         grid of spacing delta / 2.  One follow takes the probe's first width
         and the images; only the probe's points are followed again.
         """
-        y, n = _PROBE_HEIGHT * delta, _PROBE
-        points, image = self._singular_points(delta)
+        delta, n = self._delta, _PROBE
+        points, image = self._singular_points()
         w, converged = self._follow(np.concatenate([self._probe_line(0), image.real]),
-                                    np.concatenate([np.full(n, y), image.imag]),
+                                    np.concatenate([np.full(n, _PROBE_HEIGHT * delta), image.imag]),
                                     refine=np.arange(n + image.size) < n)
-        probe = self._probe(y, self._transform(np.where(converged[:n], w[:n], np.nan)).imag / np.pi)
+        probe = self._probe(self._transform(np.where(converged[:n], w[:n], np.nan)).imag / np.pi)
         if probe is None:
             return False
         xs, first, last, thresh = probe
@@ -413,7 +410,7 @@ class FollowedRoot:
         if (reached & ~beyond).any():
             return False
         self.harmless_branch_points = int(reached.sum())
-        self.support = self._edges(xs, first, last, thresh, y)
+        self.support = self._edges(xs, first, last, thresh)
         grid = auto_grid(self.support)
         targets = grid + 1j * delta
         self._on_grid = (targets, self.stieltjes(targets))

@@ -50,6 +50,7 @@ _THREE = SpectrumSample(np.array([0.5, 1.0, 2.0]))
 _PADE = ChebyshevPadeEvaluator(DensityModel(support=(0.0, 1.0), basis="chebyshev-u",
                                             psi=[4 / np.pi, 0.1, 0.05, 0.02, 0.01]))
 _FOLLOWED = _PADE.decompressed(2.0, order=2)
+_LAW_X2 = _SEMICIRCLE.decompressed(2.0)
 
 # the call, or a command line, and a pattern of its error message
 _BAD_CALLS = {
@@ -76,6 +77,8 @@ _BAD_CALLS = {
     "verify_crossing t_max None": (lambda: verify_crossing(_SEMICIRCLE, 1j, t_max=None),
                                    "t_max must be a number"),
     "verify_crossing z None": (lambda: verify_crossing(_SEMICIRCLE, None), "target z must be a number, got None"),
+    "verify_crossing z nan": (lambda: verify_crossing(_SEMICIRCLE, np.nan + 1j), "open upper half-plane"),
+    "verify_crossing z inf": (lambda: verify_crossing(_SEMICIRCLE, np.inf + 1j), "open upper half-plane"),
     "decompress grid '0:1:5'": (lambda: decompress_density(DecompressionRequest(_SEMICIRCLE, 2.0, grid="0:1:5")),
                                 "'auto' or numbers, got '0:1:5'"),
     "pade order -1": (lambda: _PADE.decompressed(2.0, order=-1), "integer in 0 \\.\\. 2, got -1"),
@@ -84,6 +87,10 @@ _BAD_CALLS = {
     "followed stieltjes on the axis": (lambda: _FOLLOWED.stieltjes(0.1 + 0j), "open upper half-plane"),
     "followed stieltjes below the axis": (lambda: _FOLLOWED.stieltjes([1j, 0.1 - 0.01j]), "open upper half-plane"),
     "followed stieltjes nan": (lambda: _FOLLOWED.stieltjes(np.nan + 1j), "open upper half-plane"),
+    "followed stieltjes not a number": (lambda: _FOLLOWED.stieltjes("z"), "open upper half-plane, got 'z'"),
+    "law x2 stieltjes on the axis": (lambda: _LAW_X2.stieltjes(0.1 + 0j), "open upper half-plane"),
+    "law x2 stieltjes below the axis": (lambda: _LAW_X2.stieltjes([1j, 0.1 - 0.01j]), "open upper half-plane"),
+    "law x2 stieltjes nan": (lambda: _LAW_X2.stieltjes(np.nan + 1j), "open upper half-plane"),
     "make_rng without seed": (lambda: make_rng(None), "seed is required"),
     "eigenvalues non-square": (lambda: eigenvalues_symmetric(np.ones((2, 3))), "square matrix"),
     "haar order": (lambda: haar_orthogonal(0, seed=0), "order must be >= 1"),

@@ -605,6 +605,31 @@ def test_batched_newton_matches_single_point_solves_pade():
     _assert_batched_newton_matches_single_point_solves(ChebyshevPadeEvaluator(model))
 
 
+@pytest.mark.parametrize("kind", ["law", "pade"])
+def test_decompressed_transform_takes_the_open_upper_half_plane(kind):
+    # Both decompressed transforms refuse a point off the open upper
+    # half-plane, and the check leaves their values on it unchanged: the
+    # same bits as the unchecked transform, the law's principal branch or
+    # the followed root.
+    law = marchenko_pastur_law(1 / 50)
+    ev = LawEvaluator(law) if kind == "law" else ChebyshevPadeEvaluator(_exact_model(law, k_max=20))
+    decompressed = ev.decompressed(8.0)
+    for z in (0.5 + 0j, [1j, 0.5 - 0.01j], np.nan + 1j, 1.0 + np.inf * 1j, np.inf + 0.1j, "z"):
+        with pytest.raises(InputError, match="open upper half-plane"):
+            decompressed.stieltjes(z)
+    delta = dc.default_delta(ev.support)
+    x = np.linspace(-0.5, 2.5, 61)
+    z = x + 1j * np.array([1e-4 * delta, delta, 1.0])[:, np.newaxis]
+    if kind == "law":
+        unchecked = law_stieltjes(decompressed, z)
+    else:
+        w, converged = decompressed._follow(z.real.ravel(), z.imag.ravel())
+        unchecked = decompressed._transform(np.where(converged, w, np.nan)).reshape(z.shape)
+    assert np.array_equal(decompressed.stieltjes(z), unchecked, equal_nan=True)
+    assert decompressed.stieltjes(z[1, 20]) == unchecked[1, 20]
+    assert isinstance(decompressed.stieltjes(z[1, 20]), complex)
+
+
 def test_track_support_edge_search_batched(monkeypatch):
     # Each edge refinement round evaluates both edges' 63 interior points
     # in one call: four calls in all for the chosen approximant.
