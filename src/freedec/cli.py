@@ -143,6 +143,7 @@ def _cmd_decompress(args):
         "pade_order": None if followed is None else followed.order,
         "harmless_branch_points": 0 if followed is None else followed.harmless_branch_points,
         "pade_candidates_tried": 0 if followed is None else followed.candidates_tried,
+        "pade_candidates_screened": 0 if followed is None else followed.candidates_screened,
         "refined_points": 0 if followed is None else followed.refined_points,
         "pade_approximants": evaluator.approximant_count,
         "pade_breakdown": evaluator.breakdown,

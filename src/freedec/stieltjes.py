@@ -109,6 +109,23 @@ def _spread(p):
     return out
 
 
+def _run(dens):
+    """The contiguous run above ``_SUPPORT_THRESHOLD`` of the peak around the
+    peak of the densities ``dens`` on a probe line: (index of the last point
+    below the threshold on each side, threshold); ``()`` where the run
+    reaches an end of the line, None where a density failed or none is
+    positive."""
+    thresh = _SUPPORT_THRESHOLD * dens.max()
+    if not (np.isfinite(dens).all() and thresh > 0):
+        return None
+    above = dens > thresh
+    if above[0] or above[-1]:
+        return ()
+    peak = int(np.argmax(dens))
+    below = np.flatnonzero(~above)
+    return below[below < peak][-1], below[below > peak][0], thresh
+
+
 class ChebyshevPadeEvaluator:
     """Stieltjes evaluator for Chebyshev-U density models.
 
@@ -140,7 +157,9 @@ class ChebyshevPadeEvaluator:
     def decompressed(self, ratio, order=None):
         """The decompressed transform of the deepest admissible approximant.
 
-        Approximants are tried deepest first (``FollowedRoot.admissible``).
+        Approximants are tried deepest first (``FollowedRoot.admissible``);
+        the one returned counts them in ``candidates_tried`` and
+        ``candidates_screened``.
         Raises ``InputError`` for a ratio that is not finite and >= 1, above
         1 for a model whose mass is off 1 by more than ``_MASS_TOL`` (the
         decompressed mass (mass + r - 1) / r would hide it), and when none
@@ -160,11 +179,14 @@ class ChebyshevPadeEvaluator:
                              "only a density of unit mass has a decompression")
         if order is not None:
             return FollowedRoot(*self._approximants[order], self.support, r, order)
+        screened = 0
         for k in range(self.approximant_count, -1, -1):
             followed = FollowedRoot(*self._approximants[k], self.support, r, k)
             if followed.admissible():
                 followed.candidates_tried = self.approximant_count + 1 - k
+                followed.candidates_screened = screened
                 return followed
+            screened += followed.screened_out
         raise InputError(f"ratio {r:g} is outside the decompression domain of the model: "
                          "no Pade approximant gives a decompressed transform")
 
@@ -194,8 +216,10 @@ class FollowedRoot:
 
     ``order`` is k.  ``admissible``, at the source support's offset delta
     (``default_delta``), sets ``support`` and ``harmless_branch_points`` and
-    keeps m' on the auto grid of its mass check, for a decompression there.
+    keeps m' on the auto grid of its mass check, for a decompression there;
+    ``screened_out`` when it rejected the approximant on the first pass.
     ``candidates_tried`` counts the approximants the choice checked,
+    ``candidates_screened`` those of them rejected on the first pass, and
     ``refined_points`` the points followed again.
     """
 
@@ -204,7 +228,8 @@ class FollowedRoot:
         c, h, a = 0.5 * (lo + hi), 0.5 * (hi - lo), ratio - 1.0
         self.num, self.den, self.ratio, self.order = num, den, ratio, order
         self.support, self.harmless_branch_points, self._on_grid = None, 0, None
-        self.candidates_tried, self.refined_points = 0, 0
+        self.candidates_tried, self.candidates_screened, self.refined_points = 0, 0, 0
+        self.screened_out = False
         self._centre, self._half, self._a, self._delta = c, h, a, default_delta(source_support)
         self._top = _TOP * ratio * (hi - lo)
         big = npoly.polyadd(np.pi * npoly.polymul(num, [h, 2.0 * c, h]), 2.0 * a * den)
@@ -247,8 +272,14 @@ class FollowedRoot:
 
     def _follow(self, x, y, count=_HEIGHTS, refine=True):
         """The followed root at x + i y (1-d arrays of one shape, y > 0), and
-        where its last Newton step converged; ``refine`` (a mask, or all)
-        selects the points a second follow may take."""
+        where its last Newton step converged: the first pass, then the
+        second follow of the points ``refine`` (a mask, or all) selects."""
+        return self._follow_again(x, y, self._first_pass(x, y, count), refine)
+
+    def _first_pass(self, x, y, count):
+        """The root followed once through ``count`` heights: (root, where its
+        last Newton step converged, the last height before the first rough
+        step, the iterate at each height)."""
         heights = self._heights(y, count)
         path = np.zeros((count + 1,) + x.shape, dtype=complex)
         last = np.full(x.shape, count)  # the last height before the first rough step
@@ -265,6 +296,14 @@ class FollowedRoot:
                 last = np.where(rough & (last == count), j - 1, last)
                 path[j - 1], w, xp = w, wn, xn
             converged = np.abs(newton) <= 1e-8 * (1.0 + np.abs(w))
+        return w, converged, last, path
+
+    def _follow_again(self, x, y, first, refine):
+        """The roots of the first pass ``first``, those of the points that
+        ``refine`` selects and that took a rough step or ended unconverged
+        followed again (``_refollow``)."""
+        w, converged, last, path = first
+        count = path.shape[0] - 1
         flagged = np.flatnonzero(refine & ((last < count) | ~converged))
         self.refined_points += flagged.size
         if flagged.size:
@@ -317,23 +356,20 @@ class FollowedRoot:
         return self._centre + half * np.linspace(-1.0, 1.0, _PROBE)
 
     def _probe(self, dens):
-        """The contiguous run above ``_SUPPORT_THRESHOLD`` of the peak around
-        the peak, on the probe line at height ``_PROBE_HEIGHT`` delta, doubled
-        in width until the density decays at both ends: (points, index of the
-        last point below the threshold on each side, threshold), or None
-        without decay or with a failed point.  ``dens`` is on the first width."""
+        """The probe's run (``_run``) on the probe line at height
+        ``_PROBE_HEIGHT`` delta, doubled in width until the density decays
+        at both ends: (points, index of the last point below the threshold
+        on each side, threshold), or None without decay or with a failed
+        point.  ``dens`` is on the first width."""
         for doubling in range(4):
             xs = self._probe_line(doubling)
             if doubling:
                 dens = self._density(xs, _PROBE_HEIGHT * self._delta)
-            thresh = _SUPPORT_THRESHOLD * dens.max()
-            if not (np.isfinite(dens).all() and thresh > 0):
+            run = _run(dens)
+            if run is None:
                 return None
-            above = dens > thresh
-            if not (above[0] or above[-1]):
-                peak = int(np.argmax(dens))
-                below = np.flatnonzero(~above)
-                return xs, below[below < peak][-1], below[below > peak][0], thresh
+            if run:
+                return xs, *run
         return None
 
     def _edges(self, xs, first, last, thresh):
@@ -393,24 +429,42 @@ class FollowedRoot:
         reached singular point the followed branch is analytic above
         ``delta``, and a grid mass off 1 can only be an atom's Lorentzian
         narrower than the grid spacing, so the mass is counted again on a
-        grid of spacing delta / 2.  One follow takes the probe's first width
-        and the images; only the probe's points are followed again.
+        grid of spacing delta / 2.
+
+        One first pass (``_first_pass``) takes the probe's first width and
+        the images, which are then polished (``_reached``).  A reached
+        singular point above the run of the first pass's densities on that
+        width (``_run``) rejects the approximant at once (``screened_out``),
+        before any point is followed again.  Otherwise only the probe's
+        points are followed again, and the checks above run on the refined
+        densities: an approximant is rejected when either run holds a
+        reached singular point.
         """
         delta, n = self._delta, _PROBE
         points, image = self._singular_points()
-        w, converged = self._follow(np.concatenate([self._probe_line(0), image.real]),
-                                    np.concatenate([np.full(n, _PROBE_HEIGHT * delta), image.imag]),
-                                    refine=np.arange(n + image.size) < n)
-        probe = self._probe(self._transform(np.where(converged[:n], w[:n], np.nan)).imag / np.pi)
-        if probe is None:
-            return False
-        xs, first, last, thresh = probe
+        line = self._probe_line(0)
+        x = np.concatenate([line, image.real])
+        y = np.concatenate([np.full(n, _PROBE_HEIGHT * delta), image.imag])
+        first = self._first_pass(x, y, _HEIGHTS)
+        w, converged = first[:2]
         reached = self._reached(points, image, w[n:])
-        beyond = (image.real < xs[first]) | (image.real > xs[last])
-        if (reached & ~beyond).any():
+
+        def density(w, converged):  # on the probe's first width
+            return self._transform(np.where(converged[:n], w[:n], np.nan)).imag / np.pi
+
+        def holds_reached(xs, lo, hi, _thresh):
+            return bool((reached & (image.real >= xs[lo]) & (image.real <= xs[hi])).any())
+
+        screen = _run(density(w, converged))
+        if screen and holds_reached(line, *screen):
+            self.screened_out = True
+            return False
+        w, converged = self._follow_again(x, y, first, np.arange(x.size) < n)
+        probe = self._probe(density(w, converged))
+        if probe is None or holds_reached(*probe):
             return False
         self.harmless_branch_points = int(reached.sum())
-        self.support = self._edges(xs, first, last, thresh)
+        self.support = self._edges(*probe)
         grid = auto_grid(self.support)
         targets = grid + 1j * delta
         self._on_grid = (targets, self.stieltjes(targets))

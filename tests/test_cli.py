@@ -137,6 +137,7 @@ def test_fit_and_decompress_roundtrip(tmp_path, capsys):
     assert diag["failed_points"] == 0
     assert (diag["pade_order"], diag["harmless_branch_points"]) == (None, 0)
     assert (diag["pade_candidates_tried"], diag["refined_points"]) == (0, 0)
+    assert diag["pade_candidates_screened"] == 0
     assert diag["ratio"] == 1.0
     assert diag["k_eff"] == model.meta["k_eff"]
     # a fit with no exactly zero kept coefficient gets every [k/k] up to its order
@@ -155,8 +156,10 @@ def test_fit_and_decompress_roundtrip(tmp_path, capsys):
         followed.order, followed.harmless_branch_points)
     assert (diag["pade_candidates_tried"], diag["refined_points"]) == (
         followed.candidates_tried, followed.refined_points)
+    assert diag["pade_candidates_screened"] == followed.candidates_screened
     assert 0 <= diag["pade_order"] <= diag["pade_approximants"]
     assert diag["pade_candidates_tried"] == diag["pade_approximants"] + 1 - diag["pade_order"]
+    assert 0 <= diag["pade_candidates_screened"] <= diag["pade_candidates_tried"] - 1
 
 
 def _bench_module(name):
@@ -171,7 +174,8 @@ def test_diag_counts_the_approximant_choice(tmp_path):
     # The bench's pade_exact models (built by its reference, as
     # bench/workloads.py builds them): the choice tries 7, 7 and 11
     # approximants, deepest first, and the count of points the chosen
-    # root's follow refined repeats exactly from run to run.
+    # root's follow refined repeats exactly from run to run.  Every other
+    # approximant is rejected on the first pass of its probe's follow.
     ref = _bench_module("reference")
     mp, km = ref.marchenko_pastur(1 / 50), ref.kesten_mckay(4)
     model_path, dens_path = tmp_path / "model.json", tmp_path / "dens.csv"
@@ -184,7 +188,33 @@ def test_diag_counts_the_approximant_choice(tmp_path):
             assert main(argv) == 0
             diags.append(json.loads((tmp_path / "dens.diag.json").read_text()))
         assert diags[0]["pade_candidates_tried"] == tried
+        assert diags[0]["pade_candidates_screened"] == tried - 1
         assert diags[0]["refined_points"] == diags[1]["refined_points"]
+
+
+def test_only_the_chosen_approximant_is_followed_again(monkeypatch):
+    # Deciding the bench's exact MP(1/50) K = 20 x32 and Kesten-McKay(4)
+    # K = 50 x2 models, every rejected approximant is rejected on the first
+    # pass of its probe's follow, so each second follow belongs to the
+    # chosen one.  With the singular test on the refined run alone, each
+    # rejected one here followed 4-74 probe points again first.
+    from freedec.stieltjes import FollowedRoot
+
+    orders = []
+    refollow = FollowedRoot._refollow
+
+    def recording(self, x, y, count, begin, w):
+        orders.append(self.order)
+        return refollow(self, x, y, count, begin, w)
+
+    monkeypatch.setattr(FollowedRoot, "_refollow", recording)
+    ref = _bench_module("reference")
+    for law, order, ratio in ((ref.marchenko_pastur(1 / 50), 20, 32.0), (ref.kesten_mckay(4), 50, 2.0)):
+        psi = ref.chebyshev_u_coefficients(law, order)
+        orders.clear()
+        followed = ChebyshevPadeEvaluator(DensityModel(support=law.support, basis="chebyshev-u", psi=psi)).decompressed(ratio)
+        assert followed.candidates_tried > 1
+        assert set(orders) <= {followed.order}
 
 
 def test_bench_contract(tmp_path):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import freedec.decompress as dc
+import freedec.stieltjes as stieltjes
 from freedec.stieltjes import _PROBE_HEIGHT, FollowedRoot
 from freedec import (
     ChebyshevPadeEvaluator,
@@ -209,6 +210,64 @@ def test_refollow_restarts_on_the_root(monkeypatch):
                 mixed += np.unique(begin[np.searchsorted(refined, part)]).size > 1
                 assert np.array_equal(followed._follow(line[part], y[part])[0], w[part])
     assert mixed >= 4
+
+
+def _refined_only_admissible(self, stages):
+    """``FollowedRoot.admissible`` with the singular-point test on the refined
+    probe run alone, and no first-pass screen; ``stages`` gets the check
+    that rejected each order, or "admissible"."""
+    delta, n = self._delta, stieltjes._PROBE
+    points, image = self._singular_points()
+    w, converged = self._follow(np.concatenate([self._probe_line(0), image.real]),
+                                np.concatenate([np.full(n, _PROBE_HEIGHT * delta), image.imag]),
+                                refine=np.arange(n + image.size) < n)
+    probe = self._probe(self._transform(np.where(converged[:n], w[:n], np.nan)).imag / np.pi)
+    if probe is None:
+        stages[self.order] = "probe"
+        return False
+    xs, first, last, thresh = probe
+    reached = self._reached(points, image, w[n:])
+    if (reached & (image.real >= xs[first]) & (image.real <= xs[last])).any():
+        stages[self.order] = "singular"
+        return False
+    self.harmless_branch_points = int(reached.sum())
+    self.support = self._edges(xs, first, last, thresh)
+    grid = dc.auto_grid(self.support)
+    targets = grid + 1j * delta
+    self._on_grid = (targets, self.stieltjes(targets))
+    mass = np.trapezoid(np.nan_to_num(self._on_grid[1].imag / np.pi, nan=0.0), grid)
+    if abs(mass - 1.0) > stieltjes._MASS_TOL and not self.harmless_branch_points:
+        grid = np.linspace(grid[0], grid[-1], int((grid[-1] - grid[0]) / (0.5 * delta)) + 1)
+        mass = np.trapezoid(np.nan_to_num(self._density(grid, delta), nan=0.0), grid)
+    stages[self.order] = "admissible" if abs(mass - 1.0) <= stieltjes._MASS_TOL else "mass"
+    return stages[self.order] == "admissible"
+
+
+@pytest.mark.parametrize("k_max, divergent", [(30, [15]), (40, [15]), (50, [24, 15])])
+def test_first_pass_screen_keeps_the_refined_choice(monkeypatch, k_max, divergent):
+    # Exact Wachter(2.5, 1.5625) models x32: the first pass's run holds a
+    # reached singular point that the refined run leaves out, so the screen
+    # rejects an approximant the refined singular test passes (4 such
+    # screens in a sweep of 175 exact models).  The refined rule rejects it
+    # later, on its mass, and the choice and its density stay the same.
+    model = _exact_model(wachter_law(2.5, 1.5625), k_max)
+    admissible, screened = FollowedRoot.admissible, []
+
+    def recording(self):
+        verdict = admissible(self)
+        screened.extend([self.order] * self.screened_out)
+        return verdict
+
+    monkeypatch.setattr(FollowedRoot, "admissible", recording)
+    got = decompress_density(DecompressionRequest(evaluator=ChebyshevPadeEvaluator(model), ratio=32.0))
+    stages = {}
+    monkeypatch.setattr(FollowedRoot, "admissible", lambda self: _refined_only_admissible(self, stages))
+    want = decompress_density(DecompressionRequest(evaluator=ChebyshevPadeEvaluator(model), ratio=32.0))
+    assert [k for k in screened if stages[k] != "singular"] == divergent
+    assert all(stages[k] == "mass" for k in divergent)
+    assert got.decompressed.order == want.decompressed.order == 1
+    for name in ("grid", "density", "support"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
 
 
 def test_mass_counts_failed_points_as_zero():
