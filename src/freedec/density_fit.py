@@ -62,8 +62,8 @@ def trimmed(p):
 
 
 def _check_order(k_max):
-    """``InputError`` unless ``k_max`` is an integer >= 0 (a numpy integer too)."""
-    if not isinstance(k_max, (int, np.integer)) or k_max < 0:
+    """``InputError`` unless ``k_max`` is an integer >= 0 (a numpy one too, not a bool)."""
+    if isinstance(k_max, bool) or not isinstance(k_max, (int, np.integer)) or k_max < 0:
         raise InputError(f"polynomial order must be >= 0 and an integer, got {k_max!r}")
 
 

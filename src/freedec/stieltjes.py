@@ -164,13 +164,13 @@ class ChebyshevPadeEvaluator:
         1 for a model whose mass is off 1 by more than ``_MASS_TOL`` (the
         decompressed mass (mass + r - 1) / r would hide it), and when none
         passes: the model has no decompression by ``ratio``.  With ``order``,
-        an integer in 0 .. ``approximant_count`` (else ``InputError``), the
-        followed root of [order/order] is returned unchecked, with no
-        ``support``.
+        an integer in 0 .. ``approximant_count`` (else ``InputError``; a
+        bool is not an order), the followed root of [order/order] is
+        returned unchecked, with no ``support``.
         """
         r = checked_ratio(ratio)
-        if order is not None and not (isinstance(order, (int, np.integer))
-                                      and 0 <= order <= self.approximant_count):
+        if order is not None and (isinstance(order, bool) or not isinstance(order, (int, np.integer))
+                                  or not 0 <= order <= self.approximant_count):
             raise InputError(f"approximant order must be an integer in 0 .. {self.approximant_count}, "
                              f"got {order!r}")
         mass = self.model.mass()
@@ -235,27 +235,27 @@ class FollowedRoot:
         big = npoly.polyadd(np.pi * npoly.polymul(num, [h, 2.0 * c, h]), 2.0 * a * den)
         small = 2.0 * np.pi * npoly.polymulx(num)
         # coefficients of A, A', B and B', one column each (low degree first)
-        table = np.zeros((big.size, 4), dtype=complex)
+        table = np.zeros((big.size, 4))
         for col, p in enumerate((big, npoly.polyder(big), small, npoly.polyder(small))):
             table[: p.size, col] = p
         self._table = table
 
     def _values(self, w):
-        """A, A', B and B' at the points of the 1-d array w.
+        """A, A', B and B' at the points of the 1-d array w, one row each.
 
-        The powers w^0 .. w^(rows - 1) are built down the columns of a
-        (rows x points) table, one power of all points per product.
-        ``powers.T`` stays the left operand of the product with the
-        coefficient table: ``table.T @ powers`` changes the last bits.  One
-        point is padded to two: numpy takes its matrix-vector route for a
-        single row, whose last bits differ from a batch's."""
-        if w.size == 1:
-            return self._values(np.concatenate([w, w]))[:, :1]
+        Row i of the power table is w^i, the row above times w: one
+        contiguous product, several times faster in numpy than an accumulate
+        down the columns.  The coefficients are real: one real product with
+        the powers' interleaved real and imaginary parts gives all four, at
+        half a complex product's multiplies, and one point takes a batch's
+        route.  The promise is batch invariance, not one numpy kernel's
+        bits: a point's bits do not depend on the points evaluated with it."""
         powers = np.empty((self._table.shape[0], w.size), dtype=complex)
         powers[0] = 1.0
-        powers[1:] = w
-        np.multiply.accumulate(powers[1:], axis=0, out=powers[1:])
-        return (powers.T @ self._table).T
+        powers[1:2] = w  # no row 1 in the one-row table of a zero numerator at ratio 1
+        for i in range(2, powers.shape[0]):
+            np.multiply(powers[i - 1], w, out=powers[i])
+        return (self._table.T @ powers.view(float)).view(complex)
 
     def _heights(self, y, count):
         steps = np.arange(count + 1)[:, np.newaxis] / count

@@ -84,6 +84,7 @@ _BAD_CALLS = {
     "pade order -1": (lambda: _PADE.decompressed(2.0, order=-1), "integer in 0 \\.\\. 2, got -1"),
     "pade order 99": (lambda: _PADE.decompressed(2.0, order=99), "integer in 0 \\.\\. 2, got 99"),
     "pade order 2.5": (lambda: _PADE.decompressed(2.0, order=2.5), "integer in 0 \\.\\. 2, got 2.5"),
+    "pade order True": (lambda: _PADE.decompressed(2.0, order=True), "integer in 0 \\.\\. 2, got True"),
     "followed stieltjes on the axis": (lambda: _FOLLOWED.stieltjes(0.1 + 0j), "open upper half-plane"),
     "followed stieltjes below the axis": (lambda: _FOLLOWED.stieltjes([1j, 0.1 - 0.01j]), "open upper half-plane"),
     "followed stieltjes nan": (lambda: _FOLLOWED.stieltjes(np.nan + 1j), "open upper half-plane"),
@@ -99,6 +100,7 @@ _BAD_CALLS = {
     "fit k_max None": (lambda: fit_density(_THREE, k_max=None), "order must be >= 0 and an integer, got None"),
     "fit k_max 2.5": (lambda: fit_density(_THREE, k_max=2.5), "order must be >= 0 and an integer, got 2.5"),
     "fit k_max -1": (lambda: fit_density(_THREE, k_max=-1), "order must be >= 0 and an integer, got -1"),
+    "fit k_max True": (lambda: fit_density(_THREE, k_max=True), "order must be >= 0 and an integer, got True"),
     "grid coefficients k_max": (lambda: chebyshev_coefficients_from_grid(_X, np.ones(5), (1, 2), -1),
                                 "order must be >= 0"),
     "fit empty sample": (lambda: fit_density(SpectrumSample(np.empty(0))), "sample is empty"),

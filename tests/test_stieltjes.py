@@ -278,28 +278,69 @@ def test_pade_decompressed_rejects_wrong_mass_before_following(monkeypatch, orde
         ev.decompressed(32.0, order=order)
 
 
-def test_followed_root_values_match_the_vandermonde_product_bit_for_bit():
-    # A, A', B and B' from the power table built down its columns equal the
-    # row-wise Vandermonde product, on every approximant of the exact
-    # MP(1/50) K = 20 and even Kesten-McKay(4) K = 50 models
+def _followed_roots_of_every_order():
+    # every approximant of the exact MP(1/50) K = 20 and even Kesten-McKay(4)
+    # K = 50 models, x2: tables of 4 .. 53 rows
     km = _exact_model(kesten_mckay_law(4), 50)
     km = DensityModel(support=km.support, basis="chebyshev-u",
                       psi=np.where(np.arange(km.psi.size) % 2 == 0, km.psi, 0.0))
-    rng = make_rng(28)
-    rows_seen = set()
     for ev in (ChebyshevPadeEvaluator(_mp_model(lam=1 / 50, k_max=20)[0]), ChebyshevPadeEvaluator(km)):
         for order in range(ev.approximant_count + 1):
-            followed = ev.decompressed(2.0, order=np.int64(order))
-            rows = followed._table.shape[0]
-            rows_seen.add(rows)
-            for n in (2, 3, 211, 1000):
-                w = rng.normal(size=n) + 1j * rng.normal(size=n)
-                want = (np.vander(w, rows, increasing=True) @ followed._table).T
-                assert np.array_equal(followed._values(w), want), (order, n)
-            # one point is row 0 of the batch that repeats it
-            want = (np.vander(np.repeat(w[:1], 2), rows, increasing=True) @ followed._table).T[:, :1]
-            assert np.array_equal(followed._values(w[:1]), want), order
+            yield ev.decompressed(2.0, order=np.int64(order))
+
+
+def test_followed_root_values_match_the_extended_precision_vandermonde_product():
+    # A, A', B and B' agree with the Vandermonde product in extended
+    # precision, relative to the same product of absolute values (the scale
+    # of a polynomial's rounding error): at worst 1.0e-15, and an
+    # accumulate-built complex table meets the bound too (1.1e-15)
+    rng = make_rng(28)
+    rows_seen = set()
+    for followed in _followed_roots_of_every_order():
+        rows = followed._table.shape[0]
+        rows_seen.add(rows)
+        for n in (1, 2, 3, 211, 1000):
+            w = rng.normal(size=n) + 1j * rng.normal(size=n)
+            want = (np.vander(w.astype(np.clongdouble), rows, increasing=True)
+                    @ followed._table.astype(np.longdouble)).T
+            scale = (np.abs(np.vander(w, rows, increasing=True)) @ np.abs(followed._table)).T
+            assert np.max(np.abs(followed._values(w) - want) / scale) <= 4e-15, (followed.order, n)
     assert (min(rows_seen), max(rows_seen)) == (4, 53)
+
+
+def test_followed_root_values_do_not_depend_on_the_batch():
+    # a point's A, A', B and B' have the same bits alone and in any batch:
+    # runs of 1, 2, 3, 211 and 1000 points at offsets 0, 1 and 3 equal
+    # their columns of the full batch
+    rng = make_rng(29)
+    w = rng.normal(size=1003) + 1j * rng.normal(size=1003)
+    for followed in _followed_roots_of_every_order():
+        full = followed._values(w)
+        for n in (1, 2, 3, 211, 1000):
+            for offset in (0, 1, 3):
+                part = slice(offset, offset + n)
+                assert np.array_equal(followed._values(w[part]), full[:, part]), (followed.order, n, offset)
+
+
+def test_followed_root_values_isolate_non_finite_points():
+    # NaN and infinite points give the others the bits of a batch without them
+    rng = make_rng(30)
+    w = rng.normal(size=40) + 1j * rng.normal(size=40)
+    bad = np.array([np.nan, np.inf, -np.inf, complex(np.inf, np.inf), complex(0.0, np.nan), complex(1.0, -np.inf)])
+    mixed = np.insert(w, [0, 6, 6, 17, 29, 40], bad)
+    finite = np.isfinite(mixed)
+    assert np.array_equal(mixed[finite], w)
+    for followed in _followed_roots_of_every_order():
+        with np.errstate(all="ignore"):
+            assert np.array_equal(followed._values(mixed)[:, finite], followed._values(w)), followed.order
+
+
+def test_followed_root_values_take_a_one_row_table():
+    # a zero model at ratio 1 has A = B = 0: a table of one row, no powers of w
+    followed = ChebyshevPadeEvaluator(DensityModel(support=(0.0, 1.0), basis="chebyshev-u",
+                                                   psi=[0.0])).decompressed(1.0, order=0)
+    assert followed._table.shape == (1, 4)
+    assert np.array_equal(followed._values(np.array([0.5 + 1j, -2.0])), np.zeros((4, 2)))
 
 
 def test_pade_evaluator_refuses_non_finite_model_when_built():
