@@ -77,8 +77,8 @@ def _build_parser():
 def _cmd_sample(args):
     name = args.ensemble
     if name == "meixner":
-        # The Meixner benchmark is sampled from its analytic law by QMC, the
-        # tridiagonal realization being a spectral-measure construction.
+        # Free Meixner has no matrix realization in draw_ensemble, so it is
+        # sampled from its analytic law by QMC.
         if args.a is None or args.b is None or args.c is None:
             raise InputError("'meixner' requires --a, --b and --c")
         law = ens.meixner_law(args.a, args.b, args.c)

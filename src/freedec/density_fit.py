@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, is_integer
 from .linalg import SpectrumSample
 from .metrics import checked_density
 
@@ -62,8 +62,8 @@ def trimmed(p):
 
 
 def _check_order(k_max):
-    """``InputError`` unless ``k_max`` is an integer >= 0 (a numpy one too, not a bool)."""
-    if isinstance(k_max, bool) or not isinstance(k_max, (int, np.integer)) or k_max < 0:
+    """``InputError`` unless ``k_max`` is an integer >= 0."""
+    if not is_integer(k_max) or k_max < 0:
         raise InputError(f"polynomial order must be >= 0 and an integer, got {k_max!r}")
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .decompress import checked_ratio, checked_upper_half
-from .errors import InputError, NumericalError
+from .errors import InputError, NumericalError, is_integer
 from .linalg import _haar, make_rng
 from .metrics import cumulative_trapezoid
 
@@ -343,12 +343,12 @@ def _wishart(rng, n, d, chunk=10000):
     return _symmetrize(a / d)
 
 
-def draw_ensemble(name, n, seed, d=None, d1=None, d2=None, coeffs=None):
+def draw_ensemble(name, n, seed, d=None, d1=None, d2=None):
     """Draw one matrix realization of the named law.
 
     Parameters
     ----------
-    name : {'wigner', 'mp', 'kesten-mckay', 'wachter', 'meixner'}
+    name : {'wigner', 'mp', 'kesten-mckay', 'wachter'}
     n : int
         Matrix order.
     seed : int
@@ -356,42 +356,36 @@ def draw_ensemble(name, n, seed, d=None, d1=None, d2=None, coeffs=None):
         Wishart degrees of freedom ('mp') or even degree ('kesten-mckay').
     d1, d2 : int
         Degrees of freedom of the two Wishart factors ('wachter').
-    coeffs : tuple
-        ``(alpha0, beta0, alpha1, beta1)`` Jacobi data ('meixner').
 
     Notes
     -----
-    The Wigner, MP, Kesten-McKay and Wachter draws have empirical spectral
-    distributions converging to their laws.  The Meixner draw is the n-th
-    truncation of the bordered-Toeplitz Jacobi matrix; the law there is the
-    spectral measure at the first coordinate (Gauss-quadrature weights), not
-    the flat eigenvalue counting measure.
+    The empirical spectral distribution of every draw converges to the law
+    it is returned with.  Free Meixner has no realization here; it is sampled
+    from its law (``freedec sample --ensemble meixner``).
     """
-    if n < 1:
-        raise InputError("matrix order must be >= 1")
+    if not is_integer(n) or n < 1:
+        raise InputError(f"matrix order must be >= 1 and an integer, got {n!r}")
     rng = make_rng(seed)
     if name == "wigner":
         x = rng.standard_normal((n, n))
         mat = _symmetrize(np.sqrt(2.0) * x)  # (x + x.T)/sqrt(2)
         law = wigner_law(2.0 * np.sqrt(n))
     elif name == "mp":
-        if d is None or d < 1:
-            raise InputError("'mp' requires degrees of freedom d >= 1")
+        if not is_integer(d) or d < 1:
+            raise InputError(f"'mp' requires integer degrees of freedom d >= 1, got {d!r}")
         mat = _wishart(rng, n, d)
         law = marchenko_pastur_law(n / d)
     elif name == "kesten-mckay":
-        if d is None or d < 2 or d % 2 != 0:
-            raise InputError("'kesten-mckay' requires even d >= 2 (d = 2k Haar summands)")
-        k = d // 2
+        if not is_integer(d) or d < 2 or d % 2 != 0:
+            raise InputError(f"'kesten-mckay' requires even d >= 2 (d = 2k Haar summands), got {d!r}")
         mat = np.zeros((n, n))
-        for i in range(k):
+        for _ in range(d // 2):
             o = _haar(rng, n)
-            mat += o + o.T
-        mat = _symmetrize(mat)
+            mat += o + o.T  # exactly symmetric
         law = kesten_mckay_law(d)
     elif name == "wachter":
-        if d1 is None or d2 is None or d1 < 1 or d2 < 1:
-            raise InputError("'wachter' requires d1 >= 1 and d2 >= 1")
+        if not (is_integer(d1) and is_integer(d2)) or d1 < 1 or d2 < 1:
+            raise InputError(f"'wachter' requires integers d1 >= 1 and d2 >= 1, got {d1!r} and {d2!r}")
         if d1 + d2 <= n:
             raise InputError("'wachter' requires d1 + d2 > n for a positive definite sum")
         s1 = _wishart(rng, n, d1)
@@ -400,21 +394,6 @@ def draw_ensemble(name, n, seed, d=None, d1=None, d2=None, coeffs=None):
         inv = np.linalg.solve(chol, np.linalg.solve(chol, s1).T)
         mat = _symmetrize(inv)
         law = wachter_law(d1 / n, d2 / n)
-    elif name == "meixner":
-        if coeffs is None or len(coeffs) != 4:
-            raise InputError("'meixner' requires coeffs = (alpha0, beta0, alpha1, beta1)")
-        a0, b0, a1, b1 = map(float, coeffs)
-        if b0 <= 0 or b1 <= 0:
-            raise InputError("Jacobi off-diagonal coefficients must be positive")
-        diag = np.full(n, a1)
-        diag[0] = a0
-        off = np.full(n - 1, b1)
-        if n > 1:
-            off[0] = b0
-        mat = np.diag(diag)
-        if n > 1:
-            mat += np.diag(off, 1) + np.diag(off, -1)
-        law = meixner_law(a=a1, b=b1 * b1, c=(b0 * b0) / (b1 * b1))
     else:
         raise InputError(f"unknown ensemble {name!r}")
     return EnsembleDraw(law, mat)

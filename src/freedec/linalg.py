@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, NumericalError
+from .errors import InputError, NumericalError, is_integer
 
 __all__ = [
     "SpectrumSample",
@@ -32,8 +32,9 @@ def make_rng(seed):
     routine in the package accepts a seed and builds its generator here, so
     there is no hidden entropy anywhere.
     """
-    if seed is None:
-        raise InputError("seed is required; stochastic routines use no hidden entropy")
+    if not is_integer(seed):
+        raise InputError("seed is required and must be an integer (stochastic routines use no "
+                         f"hidden entropy), got {seed!r}")
     return np.random.Generator(np.random.Philox(key=np.uint64(np.int64(seed))))
 
 
@@ -105,8 +106,8 @@ def sample_principal_submatrix(a, k, seed):
     """
     a = _check_symmetric(a)
     n = a.shape[0]
-    if not 1 <= k <= n:
-        raise InputError(f"submatrix order k={k} out of range [1, {n}]")
+    if not is_integer(k) or not 1 <= k <= n:
+        raise InputError(f"submatrix order must be an integer in 1 .. {n}, got {k!r}")
     idx = _random_index_subset(n, k, make_rng(seed))
     return a[np.ix_(idx, idx)]
 
@@ -117,8 +118,8 @@ def haar_orthogonal(n, seed):
     QR of a Gaussian matrix alone is not Haar; rescaling each column of Q by
     the sign of the corresponding diagonal entry of R fixes the distribution.
     """
-    if n < 1:
-        raise InputError("order must be >= 1")
+    if not is_integer(n) or n < 1:
+        raise InputError(f"order must be >= 1 and an integer, got {n!r}")
     return _haar(make_rng(seed), n)
 
 

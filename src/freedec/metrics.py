@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, is_integer
 
 __all__ = [
     "DensityComparison",
@@ -121,6 +121,8 @@ def jensen_shannon_samples(samples_a, samples_b):
 
 def moments(x, rho, k_max=4):
     """Raw moments integral x^k rho(x) dx for k = 0..k_max (trapezoid)."""
+    if not is_integer(k_max) or k_max < 0:
+        raise InputError(f"moment order must be >= 0 and an integer, got {k_max!r}")
     x, rho = checked_density(x, rho)
     return np.array([np.trapezoid(x**k * rho, x) for k in range(k_max + 1)])
 
@@ -151,8 +153,8 @@ def log_determinant(x, rho, order):
 
 def van_der_corput(count):
     """First ``count`` points of the base-2 van der Corput sequence (index >= 1)."""
-    if count < 1:
-        raise InputError("need at least one point")
+    if not is_integer(count) or count < 1:
+        raise InputError(f"need at least one point: the count must be an integer >= 1, got {count!r}")
     out = np.empty(count)
     for i in range(1, count + 1):
         f, r, v = 0.5, i, 0.0

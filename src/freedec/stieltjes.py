@@ -27,7 +27,7 @@ from numpy.polynomial import polynomial as npoly
 from . import ensembles
 from .decompress import auto_grid, checked_ratio, checked_upper_half, default_delta
 from .density_fit import trimmed
-from .errors import InputError, NumericalError
+from .errors import InputError, NumericalError, is_integer
 
 __all__ = [
     "joukowski",
@@ -169,8 +169,7 @@ class ChebyshevPadeEvaluator:
         returned unchecked, with no ``support``.
         """
         r = checked_ratio(ratio)
-        if order is not None and (isinstance(order, bool) or not isinstance(order, (int, np.integer))
-                                  or not 0 <= order <= self.approximant_count):
+        if order is not None and (not is_integer(order) or not 0 <= order <= self.approximant_count):
             raise InputError(f"approximant order must be an integer in 0 .. {self.approximant_count}, "
                              f"got {order!r}")
         mass = self.model.mass()

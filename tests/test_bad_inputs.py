@@ -31,6 +31,7 @@ from freedec import (
     make_rng,
     marchenko_pastur_law,
     meixner_law,
+    sample_principal_submatrix,
     track_support,
     verify_crossing,
     wachter_law,
@@ -38,7 +39,7 @@ from freedec import (
 )
 from freedec.cli import main
 from freedec.io import model_from_dict
-from freedec.metrics import log_determinant, qmc_sample, total_variation, van_der_corput
+from freedec.metrics import log_determinant, moments, qmc_sample, total_variation, van_der_corput
 
 _X = np.linspace(1.0, 2.0, 5)
 _MODEL_DOC = {"schema_version": 1, "support": [0, 1], "basis": {"kind": "chebyshev-u"},
@@ -65,10 +66,12 @@ _BAD_CALLS = {
     "draw order": (lambda: draw_ensemble("wigner", 0, seed=0), "matrix order"),
     "draw wachter d2": (lambda: draw_ensemble("wachter", 4, seed=0, d1=8), "d1 >= 1 and d2 >= 1"),
     "draw wachter d1 + d2": (lambda: draw_ensemble("wachter", 4, seed=0, d1=2, d2=2), "d1 \\+ d2 > n"),
-    "draw meixner coeffs": (lambda: draw_ensemble("meixner", 4, seed=0, coeffs=(0.0, 1.0, 0.0)),
-                            "requires coeffs"),
-    "draw meixner off-diagonal": (lambda: draw_ensemble("meixner", 4, seed=0, coeffs=(0.0, 1.0, 0.0, -1.0)),
-                                  "off-diagonal"),
+    "draw order 2.5": (lambda: draw_ensemble("wigner", 2.5, seed=0), "order must be >= 1 and an integer, got 2.5"),
+    "draw order True": (lambda: draw_ensemble("wigner", True, seed=0), "order must be >= 1 and an integer, got True"),
+    "draw mp d 2.5": (lambda: draw_ensemble("mp", 4, seed=0, d=2.5), "d >= 1, got 2.5"),
+    "draw kesten-mckay d 4.0": (lambda: draw_ensemble("kesten-mckay", 4, seed=0, d=4.0), "even d >= 2 .*got 4\\.0"),
+    "draw wachter d1 2.5": (lambda: draw_ensemble("wachter", 4, seed=0, d1=2.5, d2=8), "d1 >= 1 and d2 >= 1, got 2.5"),
+    "draw meixner": (lambda: draw_ensemble("meixner", 4, seed=0), "unknown ensemble 'meixner'"),
     "draw unknown name": (lambda: draw_ensemble("gue", 4, seed=0), "unknown ensemble 'gue'"),
     "decompressed_law ratio None": (lambda: decompressed_law(_KM2, None), "ratio must be a number, got None"),
     "decompress ratio '2x'": (lambda: decompress_density(DecompressionRequest(evaluator=_SEMICIRCLE, ratio="2x")),
@@ -93,8 +96,14 @@ _BAD_CALLS = {
     "law x2 stieltjes below the axis": (lambda: _LAW_X2.stieltjes([1j, 0.1 - 0.01j]), "open upper half-plane"),
     "law x2 stieltjes nan": (lambda: _LAW_X2.stieltjes(np.nan + 1j), "open upper half-plane"),
     "make_rng without seed": (lambda: make_rng(None), "seed is required"),
+    "make_rng seed 2.5": (lambda: make_rng(2.5), "must be an integer .*got 2\\.5"),
+    "make_rng seed True": (lambda: make_rng(True), "must be an integer .*got True"),
     "eigenvalues non-square": (lambda: eigenvalues_symmetric(np.ones((2, 3))), "square matrix"),
     "haar order": (lambda: haar_orthogonal(0, seed=0), "order must be >= 1"),
+    "haar order 2.5": (lambda: haar_orthogonal(2.5, seed=0), "order must be >= 1 and an integer, got 2.5"),
+    "submatrix k 2.5": (lambda: sample_principal_submatrix(np.eye(3), 2.5, seed=0), "integer in 1 \\.\\. 3, got 2.5"),
+    "submatrix k True": (lambda: sample_principal_submatrix(np.eye(3), True, seed=0),
+                         "integer in 1 \\.\\. 3, got True"),
     "coefficients k_max": (lambda: chebyshev_coefficients(SpectrumSample(np.array([0.5])), (0, 1), -1),
                            "order must be >= 0"),
     "fit k_max None": (lambda: fit_density(_THREE, k_max=None), "order must be >= 0 and an integer, got None"),
@@ -108,6 +117,9 @@ _BAD_CALLS = {
     "log_determinant order": (lambda: log_determinant(_X, np.ones(5), 0), "order must be >= 1"),
     "log_determinant no mass": (lambda: log_determinant(_X, np.zeros(5), 10), "no mass"),
     "van_der_corput count": (lambda: van_der_corput(0), "at least one point"),
+    "van_der_corput count 2.5": (lambda: van_der_corput(2.5), "at least one point.*got 2\\.5"),
+    "qmc_sample count 2.5": (lambda: qmc_sample(_X, np.ones(5), 2.5), "at least one point.*got 2\\.5"),
+    "moments k_max 2.5": (lambda: moments(_X, np.ones(5), 2.5), "order must be >= 0 and an integer, got 2.5"),
     "qmc_sample zero density": (lambda: qmc_sample(_X, np.zeros(5), 3), "no mass on the grid"),
     "normalize zero density": (lambda: total_variation(_X, np.zeros(5), np.ones(5)), "no mass on the grid"),
     "model document not an object": (lambda: model_from_dict([1.0]), "not a JSON object"),
