@@ -38,6 +38,7 @@ __all__ = [
 _AUTO_GRID = 1000
 _MARGIN = 0.2
 _EDGE_TOL = 1e-3  # slack, in support widths, of verify_crossing's inside test
+_CROSSING_STEP = 0.05  # verify_crossing's step in t before its bisection
 
 
 @dataclass(frozen=True)
@@ -186,32 +187,31 @@ class CrossingReport:
     inside_support: bool | None
 
 
-def verify_crossing(evaluator, z, t_max=8.0, dt=0.05):
+def verify_crossing(evaluator, z, t_max=8.0):
     """Locate the time at which the characteristic label crosses the axis.
 
     For fixed target ``z`` in the upper half-plane, the label
     phi(t) = z + (e^t - 1) / (e^t m_t(z)), with m_t the transform
     decompressed by e^t, starts at z and descends; the report contains the
-    first time t* with Im phi(t*) = 0 (found by bisection) and whether
-    Re phi(t*) lies inside the evaluator's support.  A fitted model's
-    approximant is chosen once, at t = dt, so phi is one analytic function
-    of t.
+    first time t* with Im phi(t*) = 0 (steps of ``_CROSSING_STEP``, then
+    bisection) and whether Re phi(t*) lies inside the evaluator's support.
+    A fitted model's approximant is chosen once, at the first step, so phi
+    is one analytic function of t.
     """
     z = _number(z, "target z", complex)
     checked_upper_half(z)
-    dt, t_max = _number(dt, "step dt"), _number(t_max, "t_max")
-    if not (0 < dt < np.inf and np.isfinite(t_max)):
-        raise InputError(f"crossing verification needs a finite step dt > 0 and a finite t_max, "
-                         f"got dt={dt:g}, t_max={t_max:g}")
+    t_max = _number(t_max, "t_max")
+    if not np.isfinite(t_max):
+        raise InputError(f"crossing verification needs a finite t_max, got {t_max:g}")
     lo, hi = evaluator.support
     width = hi - lo
-    order = getattr(evaluator.decompressed(np.exp(dt)), "order", None)
+    order = getattr(evaluator.decompressed(np.exp(_CROSSING_STEP)), "order", None)
 
     def phi_at(t):
         r = np.exp(t)
         return z + (r - 1.0) / (r * complex(evaluator.decompressed(r, order=order).stieltjes(z)))
 
-    t_prev, t_cur = 0.0, dt
+    t_prev, t_cur = 0.0, _CROSSING_STEP
     while t_cur <= t_max + 1e-12:
         if phi_at(t_cur).imag <= 0.0:
             t_lo, t_hi = t_prev, t_cur
@@ -225,5 +225,5 @@ def verify_crossing(evaluator, z, t_max=8.0, dt=0.05):
             x_star = phi_at(t_star).real
             inside = lo - _EDGE_TOL * width <= x_star <= hi + _EDGE_TOL * width
             return CrossingReport(True, t_star, float(x_star), bool(inside))
-        t_prev, t_cur = t_cur, t_cur + dt
+        t_prev, t_cur = t_cur, t_cur + _CROSSING_STEP
     return CrossingReport(False, None, None, None)

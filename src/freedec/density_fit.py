@@ -56,11 +56,6 @@ def chebyshev_nodes(support, count, margin=0.0):
     return (0.5 * (lo - pad + hi + pad) + 0.5 * (hi - lo + 2 * pad) * np.cos(theta))[::-1]
 
 
-def trimmed(p):
-    """The 1-d array p without its trailing zeros; an all-zero p keeps one."""
-    return np.trim_zeros(p, "b") if p.any() else p[:1]
-
-
 def _check_order(k_max):
     """``InputError`` unless ``k_max`` is an integer >= 0."""
     if not is_integer(k_max) or k_max < 0:
@@ -83,8 +78,9 @@ def _chebyshev_u_matrix(t, k_max):
 class DensityModel:
     """Smoothed spectral density on a compact support interval.
 
-    ``psi`` holds the coefficients up to the last nonzero one: trailing
-    zeros are dropped on construction, and an all-zero vector keeps one.
+    ``psi`` holds the coefficients up to the last nonzero one, trailing
+    zeros dropped.  They are finite with psi_0 > 0 (else ``InputError``):
+    every model, fitted, loaded or built, has the positive mass pi W psi_0 / 4.
     """
 
     support: tuple[float, float]
@@ -104,7 +100,9 @@ class DensityModel:
         psi = np.asarray(self.psi, dtype=float)
         if psi.ndim != 1 or psi.size == 0:
             raise InputError("model coefficients must be a non-empty list of numbers")
-        object.__setattr__(self, "psi", trimmed(psi))
+        if not (np.isfinite(psi).all() and psi[0] > 0):
+            raise InputError("model coefficients must be finite with psi_0 > 0 (a positive mass)")
+        object.__setattr__(self, "psi", np.trim_zeros(psi, "b"))
 
     @property
     def order(self):
@@ -193,10 +191,10 @@ def repair_positivity_mass(model):
     mass0 = float(mass_vec @ psi0)
     if rho0.min() >= -_REPAIR_TOL_NEG and abs(mass0 - 1.0) <= _REPAIR_TOL_MASS:
         return model
-    if mass0 > 0 and rho0.min() >= -_REPAIR_TOL_NEG * mass0:
+    if rho0.min() >= -_REPAIR_TOL_NEG * mass0:
         return repaired(psi0 / mass0)
 
-    scale = max(np.linalg.norm(psi0), 1e-30)
+    scale = np.linalg.norm(psi0)
     psi = psi0.copy()
     for _ in range(_REPAIR_ITER):
         neg = np.minimum(density_of(psi) + _REPAIR_TOL_NEG, 0.0)

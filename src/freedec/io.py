@@ -91,9 +91,9 @@ def model_from_dict(doc):
     coefficient filter) raises ``InputError``, since ignoring it would
     silently change what the file decompresses to; so does a basis other
     than Chebyshev-U, and so does a missing or malformed support (an
-    infinite edge included), basis, coefficient list or ``fit_meta``.  A
-    stored ``gamma``, a fit setting that never changed the evaluated model,
-    is ignored.
+    infinite edge included), basis, coefficient list or ``fit_meta``, and
+    coefficients of no density.  A stored ``gamma``, a fit setting that
+    never changed the evaluated model, is ignored.
     """
     if not isinstance(doc, dict):
         raise InputError("model document is not a JSON object")
@@ -110,7 +110,7 @@ def model_from_dict(doc):
         raise InputError(f"model document has no {exc.args[0]!r} entry") from exc
     except (TypeError, ValueError) as exc:
         raise InputError(f"model document has a malformed entry: {exc}") from exc
-    if not (support.shape == (2,) and support[0] < support[1]):
+    if support.shape != (2,):
         raise InputError("model support must be [lo, hi] with lo < hi")
     meta = doc.get("fit_meta") or {}
     if not isinstance(meta, dict):

@@ -32,9 +32,9 @@ def make_rng(seed):
     routine in the package accepts a seed and builds its generator here, so
     there is no hidden entropy anywhere.
     """
-    if not is_integer(seed):
-        raise InputError("seed is required and must be an integer (stochastic routines use no "
-                         f"hidden entropy), got {seed!r}")
+    if not (is_integer(seed) and -2**63 <= seed < 2**63):
+        raise InputError("seed is required and must be an integer in [-2**63, 2**63) (stochastic "
+                         f"routines use no hidden entropy), got {seed!r}")
     return np.random.Generator(np.random.Philox(key=np.uint64(np.int64(seed))))
 
 

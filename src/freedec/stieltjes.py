@@ -26,8 +26,7 @@ from numpy.polynomial import polynomial as npoly
 
 from . import ensembles
 from .decompress import auto_grid, checked_ratio, checked_upper_half, default_delta
-from .density_fit import trimmed
-from .errors import InputError, NumericalError, is_integer
+from .errors import InputError, is_integer
 
 __all__ = [
     "joukowski",
@@ -92,13 +91,14 @@ def _diagonal_pade(coeffs):
     k_max = (n - 1) // 2
     zero = np.flatnonzero(coeffs[1:] == 0)
     count = k_max if zero.size == 0 else min(k_max, zero[0] // 2)
-    approximants = [(trimmed(coeffs), np.ones(1))]
+    approximants = [(np.trim_zeros(coeffs, "b"), np.ones(1))]
     for k in range(1, count + 1):
         steps = np.arange(k)
         toeplitz = coeffs[k + steps[:, np.newaxis] - steps]  # entry (i, j) is c_(k+i-j)
         rhs = -coeffs[k + 1 : 2 * k + 1]
         q = np.concatenate([[1.0], np.linalg.lstsq(toeplitz, rhs, rcond=np.finfo(float).eps)[0]])
-        approximants.append((trimmed(np.convolve(q, coeffs[: k + 1])[: k + 1]), trimmed(q)))
+        num = np.convolve(q, coeffs[: k + 1])[: k + 1]
+        approximants.append((np.trim_zeros(num, "b"), np.trim_zeros(q, "b")))
     return approximants, count < k_max
 
 
@@ -137,12 +137,10 @@ class ChebyshevPadeEvaluator:
     list at once); its approximants are those of T(v) = sum_j c_2j v^j at
     v = w^2, which ``approximant_count`` and ``breakdown`` then describe.
     ``decompressed(ratio)`` chooses the approximant a decompression uses.
-    A model with a non-finite coefficient raises ``NumericalError``.
+    The model is a density, so every approximant has N_0 = c_0 > 0, D_0 = 1.
     """
 
     def __init__(self, model):
-        if not np.isfinite(model.psi).all():
-            raise NumericalError("decompression failed: the model has non-finite coefficients")
         self.model, self.support = model, model.support
         even = not np.any(model.psi[1::2])
         approximants, self.breakdown = _diagonal_pade(model.psi[::2] if even else model.psi)
@@ -251,7 +249,7 @@ class FollowedRoot:
         bits: a point's bits do not depend on the points evaluated with it."""
         powers = np.empty((self._table.shape[0], w.size), dtype=complex)
         powers[0] = 1.0
-        powers[1:2] = w  # no row 1 in the one-row table of a zero numerator at ratio 1
+        powers[1] = w
         for i in range(2, powers.shape[0]):
             np.multiply(powers[i - 1], w, out=powers[i])
         return (self._table.T @ powers.view(float)).view(complex)

@@ -51,6 +51,7 @@ _THREE = SpectrumSample(np.array([0.5, 1.0, 2.0]))
 _PADE = ChebyshevPadeEvaluator(DensityModel(support=(0.0, 1.0), basis="chebyshev-u",
                                             psi=[4 / np.pi, 0.1, 0.05, 0.02, 0.01]))
 _FOLLOWED = _PADE.decompressed(2.0, order=2)
+_NO_DENSITY = "finite with psi_0 > 0"
 _LAW_X2 = _SEMICIRCLE.decompressed(2.0)
 
 # the call, or a command line, and a pattern of its error message
@@ -98,6 +99,10 @@ _BAD_CALLS = {
     "make_rng without seed": (lambda: make_rng(None), "seed is required"),
     "make_rng seed 2.5": (lambda: make_rng(2.5), "must be an integer .*got 2\\.5"),
     "make_rng seed True": (lambda: make_rng(True), "must be an integer .*got True"),
+    "make_rng seed 2**63": (lambda: make_rng(2**63), "must be an integer .*got 9223372036854775808"),
+    "make_rng seed 2**64 - 1": (lambda: make_rng(2**64 - 1), "must be an integer .*got 18446744073709551615"),
+    "make_rng seed -2**63 - 1": (lambda: make_rng(-2**63 - 1),
+                                 "must be an integer .*got -9223372036854775809"),
     "eigenvalues non-square": (lambda: eigenvalues_symmetric(np.ones((2, 3))), "square matrix"),
     "haar order": (lambda: haar_orthogonal(0, seed=0), "order must be >= 1"),
     "haar order 2.5": (lambda: haar_orthogonal(2.5, seed=0), "order must be >= 1 and an integer, got 2.5"),
@@ -125,6 +130,16 @@ _BAD_CALLS = {
     "model document not an object": (lambda: model_from_dict([1.0]), "not a JSON object"),
     "model support reversed": (lambda: model_from_dict({**_MODEL_DOC, "support": [1, 0]}), "lo < hi"),
     "model support of three": (lambda: model_from_dict({**_MODEL_DOC, "support": [0, 1, 2]}), "lo < hi"),
+    "model document zero coefficients": (lambda: model_from_dict({**_MODEL_DOC, "coefficients": [0.0]}),
+                                         _NO_DENSITY),
+    "model psi_0 zero": (lambda: DensityModel((0.0, 1.0), "chebyshev-u", [0.0]), _NO_DENSITY),
+    "model psi_0 negative": (lambda: DensityModel((0.0, 1.0), "chebyshev-u", [-1.0, 0.1]), _NO_DENSITY),
+    "model nan coefficient": (lambda: DensityModel((0.0, 1.0), "chebyshev-u", [4 / np.pi, np.nan]),
+                              _NO_DENSITY),
+    "model inf coefficient": (lambda: DensityModel((0.0, 1.0), "chebyshev-u", [np.inf]), _NO_DENSITY),
+    "pade evaluator of a non-finite model": (
+        lambda: ChebyshevPadeEvaluator(DensityModel((0.0, 1.0), "chebyshev-u", [4 / np.pi, np.nan, 0.0])),
+        _NO_DENSITY),
     "cli sample mp without --d": (["sample", "--ensemble", "mp", "--n", "4", "--seed", "0"],
                                   "degrees of freedom d >= 1"),
     "cli sample kesten-mckay without --d": (
@@ -134,6 +149,8 @@ _BAD_CALLS = {
     "cli sample meixner without --a": (
         ["sample", "--ensemble", "meixner", "--n", "4", "--b", "1", "--c", "0.5", "--seed", "0"],
         "requires --a"),
+    "cli sample seed 2**63": (["sample", "--ensemble", "wigner", "--n", "4", "--seed", "9223372036854775808"],
+                              "must be an integer .*got 9223372036854775808"),
     "cli decompress malformed --grid": (
         ["decompress", "--model", "no-such-model.json", "--ratio", "2", "--grid", "0:1"],
         "grid spec '0:1'"),

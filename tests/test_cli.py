@@ -307,18 +307,23 @@ def test_model_schema_validation(tmp_path):
     assert load_model(path).psi.tolist() == [1.0]
 
 
-def test_decompress_fault_injection(tmp_path, capsys):
-    # NaN coefficients give an unsolvable field, or at ratio 1 a NaN density:
-    # nonzero exit, diagnostics, no density file
-    model = DensityModel(support=(0.0, 1.0), basis="chebyshev-u",
-                         psi=np.array([4 / np.pi, np.nan]))
-    path = tmp_path / "broken.json"
-    save_model(path, model)
-    for ratio in ("1", "32"):
-        code = main(
-            ["decompress", "--model", str(path), "--ratio", ratio,
-             "--grid", "0:5:100", "-o", str(tmp_path / "d.csv")]
-        )
+def test_decompress_fault_injection(tmp_path, capsys, monkeypatch):
+    # a model that decompresses, whose chosen transform (or at ratio 1 its
+    # density) is NaN on the grid as if every follow failed: a numerical
+    # failure, exit 3, with no density file
+    path = tmp_path / "model.json"
+    save_model(path, DensityModel(support=(0.0, 1.0), basis="chebyshev-u", psi=[4 / np.pi, 0.1]))
+    choose = ChebyshevPadeEvaluator.decompressed
+
+    def broken(self, ratio, order=None):
+        followed = choose(self, ratio, order)
+        followed.stieltjes = lambda z: np.full(np.shape(z), complex("nan"))
+        return followed
+
+    monkeypatch.setattr(ChebyshevPadeEvaluator, "decompressed", broken)
+    monkeypatch.setattr(ChebyshevPadeEvaluator, "density", lambda self, x: np.full(np.shape(x), np.nan))
+    for ratio in ("1", "2"):
+        code = main(["decompress", "--model", str(path), "--ratio", ratio, "-o", str(tmp_path / "d.csv")])
         assert code == 3
         assert "failed" in capsys.readouterr().err
         assert not (tmp_path / "d.csv").exists()
@@ -385,6 +390,12 @@ _BAD_INPUTS = {
         _DECOMPRESS_BAD, json.dumps({**_GOOD_MODEL, "support": [0, float("inf")]})
     ),
     "decompress mass not 1": (_DECOMPRESS_BAD, json.dumps(_GOOD_MODEL)),  # mass pi / 4, not ratio 2's fault
+    "decompress zero coefficients at ratio 1": (
+        ["decompress", "--ratio", "1", "--model"], json.dumps({**_GOOD_MODEL, "coefficients": [0.0]})
+    ),
+    "decompress nan coefficient": (
+        _DECOMPRESS_BAD, json.dumps({**_GOOD_MODEL, "coefficients": [4 / np.pi, float("nan")]})
+    ),
     "decompress one-point grid": (
         ["decompress", "--ratio", "2", "--grid", "0.5:1:1", "--model"],
         json.dumps({**_GOOD_MODEL, "coefficients": [4 / np.pi, 0.1]}),  # one that decompresses

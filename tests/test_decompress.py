@@ -774,19 +774,18 @@ def test_crossing_time_monotone_in_height():
 
 def test_crossing_immediate_for_tiny_height():
     ev = LawEvaluator(marchenko_pastur_law(1 / 50))
-    report = verify_crossing(ev, 1.0 + 1e-6j, t_max=2.0, dt=1e-4)
+    report = verify_crossing(ev, 1.0 + 1e-6j, t_max=2.0)
     assert report.crossed
     assert report.t_star <= 1e-2
     assert report.inside_support
 
 
-@pytest.mark.parametrize("dt, t_max", [(0.0, 8.0), (-0.05, 8.0), (np.nan, 8.0), (np.inf, 8.0),
-                                        (0.05, np.nan), (0.05, np.inf)])
-def test_crossing_rejects_a_step_that_never_advances(dt, t_max):
-    # dt = 0 would loop forever; a NaN or infinite step or end never arrives
+@pytest.mark.parametrize("t_max", [np.nan, np.inf])
+def test_crossing_rejects_a_step_that_never_advances(t_max):
+    # the steps never arrive at a NaN or infinite end
     ev = LawEvaluator(marchenko_pastur_law(1 / 50))
-    with pytest.raises(InputError, match="dt"):
-        verify_crossing(ev, 1.0 + 0.1j, t_max=t_max, dt=dt)
+    with pytest.raises(InputError, match="finite t_max"):
+        verify_crossing(ev, 1.0 + 0.1j, t_max=t_max)
 
 
 def test_crossing_not_reached():

@@ -135,6 +135,14 @@ def test_submatrix_k1_is_diagonal_entry():
     assert sub[0, 0] in np.diagonal(a)
 
 
+@pytest.mark.parametrize("seed", [-2**63, -1, 0, 2**63 - 1])
+def test_make_rng_keys_philox_with_the_seed_modulo_2_64(seed):
+    # every int64 seed, the edges included, keeps its Philox stream
+    want = np.random.Generator(np.random.Philox(key=seed % 2**64)).standard_normal(8)
+    assert np.array_equal(make_rng(seed).standard_normal(8), want)
+    assert np.array_equal(make_rng(np.int64(seed)).standard_normal(8), want)
+
+
 def test_submatrix_seed_determinism():
     rng = make_rng(5)
     x = rng.standard_normal((8, 8))

@@ -12,7 +12,6 @@ from freedec import (
     DensityModel,
     InputError,
     LawEvaluator,
-    NumericalError,
     chebyshev_coefficients_from_grid,
     evaluator_for_model,
     joukowski,
@@ -234,9 +233,9 @@ def test_pade_drops_zero_tail():
     assert (ev_padded.approximant_count, ev_padded.breakdown) == (ev.approximant_count, ev.breakdown)
     for padded_pair, pair in zip(ev_padded._approximants, ev._approximants):
         assert all(np.array_equal(a, b) for a, b in zip(padded_pair, pair))
-    # an all-zero model keeps one coefficient
-    zero = DensityModel(support=(0.0, 1.0), basis="chebyshev-u", psi=np.zeros(5))
-    assert ChebyshevPadeEvaluator(zero).model.psi.size == 1
+    # an all-zero vector is no density: no evaluator is built for it
+    with pytest.raises(InputError, match="psi_0 > 0"):
+        ChebyshevPadeEvaluator(DensityModel(support=(0.0, 1.0), basis="chebyshev-u", psi=np.zeros(5)))
 
 
 @pytest.mark.parametrize("order", [None, 0])
@@ -333,20 +332,6 @@ def test_followed_root_values_isolate_non_finite_points():
     for followed in _followed_roots_of_every_order():
         with np.errstate(all="ignore"):
             assert np.array_equal(followed._values(mixed)[:, finite], followed._values(w)), followed.order
-
-
-def test_followed_root_values_take_a_one_row_table():
-    # a zero model at ratio 1 has A = B = 0: a table of one row, no powers of w
-    followed = ChebyshevPadeEvaluator(DensityModel(support=(0.0, 1.0), basis="chebyshev-u",
-                                                   psi=[0.0])).decompressed(1.0, order=0)
-    assert followed._table.shape == (1, 4)
-    assert np.array_equal(followed._values(np.array([0.5 + 1j, -2.0])), np.zeros((4, 2)))
-
-
-def test_pade_evaluator_refuses_non_finite_model_when_built():
-    model = DensityModel(support=(0.0, 1.0), basis="chebyshev-u", psi=[4 / np.pi, np.nan, 0.0])
-    with pytest.raises(NumericalError, match="non-finite"):
-        ChebyshevPadeEvaluator(model)
 
 
 # ---------------------------------------------------------------------------
