@@ -126,8 +126,9 @@ def decompress_density(request):
     and at t = 0 the Plemelj limit is available directly.  Otherwise the
     evaluator's ``decompressed(ratio)`` gives the support (and with it the
     auto grid) and the decompressed transform at x + i delta.  A point where
-    that transform, or at ratio 1 the density, is not finite is failed, and
-    more than 5% failed inside the support raise ``NumericalError``.
+    that transform, or at ratio 1 the density, is not finite is failed and
+    gets density NaN; more than 5% failed inside the support raise
+    ``NumericalError``.
     """
     ratio = checked_ratio(request.ratio)
     evaluator = request.evaluator
@@ -156,14 +157,16 @@ def decompress_density(request):
             roots = targets + (ratio - 1.0) / (ratio * m)
         failed = ~(np.isfinite(m) & np.isfinite(roots))
         density = m.imag / np.pi
-    in_support = (grid >= support[0]) & (grid <= support[1])
-    fatal = failed & in_support
-    if fatal.sum() > 0.05 * max(in_support.sum(), 1):
-        raise NumericalError(
-            f"decompression failed on {fatal.sum()} of {in_support.sum()} "
-            f"grid points inside the support"
-        )
-    density = np.where(failed, np.nan, np.maximum(density, 0.0))
+    density = np.maximum(density, 0.0)
+    if failed.any():
+        in_support = (grid >= support[0]) & (grid <= support[1])
+        fatal = failed & in_support
+        if fatal.sum() > 0.05 * max(in_support.sum(), 1):
+            raise NumericalError(
+                f"decompression failed on {fatal.sum()} of {in_support.sum()} "
+                f"grid points inside the support"
+            )
+        density[failed] = np.nan
     return DecompressionResult(grid, density, support, ratio, delta, roots, failed, decompressed)
 
 

@@ -69,8 +69,11 @@ class EnsembleLaw:
         return self.support[1] - self.support[0]
 
     def stieltjes(self, z):
-        """``law_stieltjes`` on the open upper half-plane alone (else ``InputError``)."""
-        return law_stieltjes(self, checked_upper_half(z))
+        """``law_stieltjes`` on the open upper half-plane alone (else
+        ``InputError``): the checked points need no axis nudge, and both
+        branches agree there."""
+        out = _branch_value(self, checked_upper_half(z))
+        return out if out.ndim else complex(out)
 
 
 def _real_roots(c0, c1, c2):
@@ -204,6 +207,17 @@ def _sqrt_cut(z, lo, hi):
     return np.sqrt(z - lo) * np.sqrt(z - hi)
 
 
+def _branch_value(law, z, secondary=False):
+    """2/(P + s) at the complex array ``z``, with s flipped below the axis on
+    the secondary branch; a pole gives an infinity, not a warning."""
+    p0, p1 = law.p
+    s = -(2.0 + p1) * _sqrt_cut(z, *law.support)
+    if secondary:
+        s = np.where(z.imag < 0, -s, s)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return 2.0 / (p0 + p1 * z + s)
+
+
 def law_stieltjes(law, z, branch="principal"):
     """Stieltjes transform of ``law`` on the requested branch.
 
@@ -219,14 +233,9 @@ def law_stieltjes(law, z, branch="principal"):
     on_axis = z.imag == 0
     if np.any(on_axis):
         z = np.where(on_axis, z + 1j * 1e-10 * (1.0 + np.abs(z)), z)
-    p0, p1 = law.p
-    s = -(2.0 + p1) * _sqrt_cut(z, *law.support)
-    if branch == "secondary":
-        s = np.where(z.imag < 0, -s, s)
-    elif branch != "principal":
+    if branch not in ("principal", "secondary"):
         raise InputError(f"unknown branch {branch!r}")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = 2.0 / (p0 + p1 * z + s)
+    out = _branch_value(law, z, branch == "secondary")
     return out if out.ndim else complex(out)
 
 

@@ -155,14 +155,14 @@ def van_der_corput(count):
     """First ``count`` points of the base-2 van der Corput sequence (index >= 1)."""
     if not is_integer(count) or count < 1:
         raise InputError(f"need at least one point: the count must be an integer >= 1, got {count!r}")
-    out = np.empty(count)
-    for i in range(1, count + 1):
-        f, r, v = 0.5, i, 0.0
-        while r:
-            r, digit = divmod(r, 2)
-            v += f * digit
-            f /= 2
-        out[i - 1] = v
+    # the weight of each binary digit, low to high, added to every point at
+    # once: the same additions in the same order as digit by digit
+    out = np.zeros(count)
+    i, f = np.arange(1, count + 1), 0.5
+    while i.any():
+        out += f * (i & 1)
+        i >>= 1
+        f /= 2
     return out
 
 

@@ -255,8 +255,11 @@ class FollowedRoot:
         return (self._table.T @ powers.view(float)).view(complex)
 
     def _heights(self, y, count):
-        steps = np.arange(count + 1)[:, np.newaxis] / count
-        return y * (self._top / y) ** (1.0 - steps)
+        """The ``count`` + 1 geometric heights from ``_top`` down to y, one
+        row each.  Each row is raised to one scalar exponent: numpy's power
+        with an exponent array takes length-dependent paths (at 0.5), which
+        would make a point's heights depend on its batch."""
+        return np.stack([y * (self._top / y) ** (1.0 - j / count) for j in range(count + 1)])
 
     def _newton(self, w, xp, steps):
         """``steps`` Newton steps on P at x' = xp from w: the root, the last

@@ -606,6 +606,54 @@ def test_unconverged_follow_fails_points(monkeypatch):
         decompress_density(DecompressionRequest(evaluator=OneHeight(), ratio=32.0, grid=grid))
 
 
+def test_failed_points_are_counted_inside_the_support_alone():
+    # An exact law's decompressed transform, NaN at chosen grid points.  Up
+    # to 5% of the points inside the support may fail, however many outside
+    # do: those come out NaN and failed, and count as zero in the mass.  One
+    # more inside raises
+    law = marchenko_pastur_law(1 / 50)
+    target = decompressed_law(law, 8.0)
+    lo, hi = target.support
+    grid = np.linspace(lo - 0.5 * (hi - lo), hi + 0.5 * (hi - lo), 400)
+    inside = np.flatnonzero((grid >= lo) & (grid <= hi))
+    allowed = int(0.05 * inside.size)
+
+    class Holes:
+        support = law.support
+
+        def __init__(self, holes):
+            self.holes = holes
+
+        def decompressed(self, ratio):
+            holes = self.holes
+
+            class Punctured:
+                support = target.support
+
+                def stieltjes(self, z):
+                    out = target.stieltjes(z)
+                    out[holes] = np.nan
+                    return out
+
+            return Punctured()
+
+    def run(holes):
+        return decompress_density(DecompressionRequest(evaluator=Holes(holes), ratio=8.0, grid=grid))
+
+    whole = run(np.zeros(grid.size, dtype=bool))
+    assert not whole.failed.any()
+    holes = (grid < lo) | (grid > hi)
+    holes[inside[10 : 10 + allowed]] = True
+    res = run(holes)
+    assert np.array_equal(res.failed, holes)
+    assert np.isnan(res.density[holes]).all()
+    assert np.array_equal(res.density[~holes], whole.density[~holes])
+    assert res.mass() == np.trapezoid(np.where(holes, 0.0, whole.density), grid) < whole.mass()
+    holes[inside[10 + allowed]] = True
+    with pytest.raises(NumericalError, match=f"failed on {allowed + 1} of {inside.size} grid points inside the support"):
+        run(holes)
+
+
 def test_semigroup_composition():
     # decompress by 4 then refit and decompress by 2 ~ direct decompress by 8
     law0 = marchenko_pastur_law(1 / 50)
@@ -662,6 +710,21 @@ def test_batched_newton_matches_single_point_solves():
 def test_batched_newton_matches_single_point_solves_pade():
     model = _exact_model(marchenko_pastur_law(1 / 50), k_max=20)
     _assert_batched_newton_matches_single_point_solves(ChebyshevPadeEvaluator(model))
+
+
+def test_followed_root_does_not_depend_on_the_batch():
+    # 3000 points spread over the support of exact MP(1/50) K = 20 x8, at
+    # heights log-uniform in 1e-6 .. 1e-1 support widths: each gets the bits
+    # of its own call.  With the follow's heights raised to an exponent
+    # array, numpy's power took length-dependent paths in the exponent-0.5
+    # row, and 35-56 of 3000 such points moved by up to 2.6e-15
+    followed = ChebyshevPadeEvaluator(_exact_model(marchenko_pastur_law(1 / 50), k_max=20)).decompressed(8.0)
+    lo, hi = followed.support
+    rng = make_rng(37)
+    z = rng.uniform(lo, hi, 3000) + 1j * (hi - lo) * 10 ** rng.uniform(-6, -1, 3000)
+    batch = followed.stieltjes(z)
+    alone = np.array([followed.stieltjes(z[k : k + 1])[0] for k in range(z.size)])
+    assert np.array_equal(batch, alone, equal_nan=True)
 
 
 @pytest.mark.parametrize("kind", ["law", "pade"])

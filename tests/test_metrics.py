@@ -152,6 +152,26 @@ def test_vdc_first_point_half():
     assert np.array_equal(van_der_corput(3), [0.5, 0.25, 0.75])
 
 
+def _vdc_digit_by_digit(count):
+    out = np.empty(count)
+    for i in range(1, count + 1):
+        f, r, v = 0.5, i, 0.0
+        while r:
+            r, digit = divmod(r, 2)
+            v += f * digit
+            f /= 2
+        out[i - 1] = v
+    return out
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 1000, 65539])
+def test_vdc_matches_digit_by_digit(count):
+    # the same bits as adding one digit's weight at a time to each point
+    want = _vdc_digit_by_digit(count)
+    assert np.array_equal(van_der_corput(count), want)
+    assert np.array_equal(van_der_corput(np.int64(count)), want)
+
+
 def test_qmc_single_sample_is_median():
     law = marchenko_pastur_law(0.5)
     x, rho = _grid_and(law, 8001)
